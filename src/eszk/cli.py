@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .extremal import SearchConfig, bounds_for, grow, search_extremal, verify_certificate
+from .extremal import SearchConfig, _grow, bounds_for, search_extremal, verify_certificate
 from .formats import parse_polygon
 from .geometry import Polygon, classify, convex_hull
 from .store import add_certificate, load_certificates, resolve_store_path
@@ -144,14 +144,14 @@ def _cmd_search(args):
 def _cmd_grow(args):
     P, raw = _read_polygon(args.file)
     cfg = SearchConfig(n=len(P) + 1, k=args.k, seed=args.seed)
-    grown = grow(P, cfg)
+    cert = _grow(P, cfg)
     payload = {
         "k": args.k,
-        "grown": grown is not None,
-        "polygon": {"vertices": [[v.x, v.y] for v in grown.vertices]} if grown else None,
-        "certificate": verify_certificate(grown, args.k).to_dict() if grown else None,
+        "grown": cert is not None,
+        "polygon": {"vertices": [[v.x, v.y] for v in cert.polygon.vertices]} if cert else None,
+        "certificate": cert.to_dict() if cert else None,
     }
-    return payload, 0 if grown is not None else 1, grown or P, raw
+    return payload, 0 if cert else 1, cert.polygon if cert else P, raw
 
 
 _COMMANDS = {

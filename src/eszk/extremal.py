@@ -17,8 +17,9 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import InputError, PreconditionError
-from .geometry import COORD_BOUND, Polygon, _det, classify
-from .subgons import DEFAULT_BUDGET, count_convex_subgons, sign_condition_triples
+from .convexity import _sign_triples
+from .geometry import COORD_BOUND, Polygon, _det, _is_strict, classify
+from .subgons import DEFAULT_BUDGET, count_convex_subgons, find_convex_subgon
 
 # 7 vertices with no convex sub-4-gon among all 35 index subsets
 # (exhaustively verified); witnesses bound >= 8 for k = 4.
@@ -198,17 +199,10 @@ def _derived_seed(seed: int, index: int) -> int:
     return (seed << 32) + index
 
 
-def _coords_strict(coords) -> bool:
-    for (ax, ay), (bx, by), (cx, cy) in itertools.combinations(coords, 3):
-        if (bx - ax) * (cy - ay) == (cx - ax) * (by - ay):
-            return False
-    return True
-
-
 def _sample_strict(rng: random.Random, n: int, box: int):
     for _ in range(_SAMPLE_ATTEMPTS):
         coords = [(rng.randint(-box, box), rng.randint(-box, box)) for _ in range(n)]
-        if n < 3 or _coords_strict(coords):
+        if _is_strict(coords):
             return coords
     raise InputError(
         f"could not sample a strict {n}-gon in the box [-{box}, {box}]^2; "
@@ -246,7 +240,7 @@ class _SubgonCounter:
         for s in itertools.combinations(range(n), k):
             if k >= 4:
                 self.subset_checks[s] = tuple(
-                    (s[a], s[b], s[c]) for a, b, c in sign_condition_triples(k)
+                    (s[a], s[b], s[c]) for a, b, c in _sign_triples(k)
                 )
             for v in s:
                 self.subsets_with[v].append(s)
@@ -391,6 +385,12 @@ def grow(P: Polygon, cfg: SearchConfig) -> Polygon | None:
     exhaustive re-verification.  Returns the first certified (n+1)-gon,
     or None -- absence of a hit proves nothing.
     """
+    cert = _grow(P, cfg)
+    return cert.polygon if cert is not None else None
+
+
+def _grow(P: Polygon, cfg: SearchConfig) -> Certificate | None:
+    # grow, returning the verified certificate of the grown polygon
     base = verify_certificate(P, cfg.k)
     if not base.verified:
         raise PreconditionError(
@@ -409,12 +409,11 @@ def grow(P: Polygon, cfg: SearchConfig) -> Polygon | None:
             if not _new_vertex_strict(candidate, pos):
                 continue
             poly = Polygon(candidate)
-            quick, _ = count_convex_subgons(poly, cfg.k)
-            if quick:
+            if find_convex_subgon(poly, cfg.k) is not None:
                 continue
             cert = verify_certificate(poly, cfg.k)
             if cert.verified:
-                return poly
+                return cert
     return None
 
 

@@ -1,10 +1,12 @@
 """Sub-polygon enumeration, convex sub-k-gon search, and triple colorings.
 
 A sub-k-gon is the polygon formed by a strictly increasing k-tuple of
-vertex indices, order preserved.  For strict polygons the convexity of a
-sub-4-gon is equivalent to its four vertex triples sharing one
-orientation sign, which turns convex-subgon search into a Ramsey-style
-hunt for totally monochromatic index subsets.
+vertex indices, order preserved.  For strict polygons a sub-k-gon is
+convex exactly when all its vertex triples share one orientation sign,
+so one sign table per polygon and one exhaustive DFS for monochromatic
+index sets serve every strict search and count.  Subset enumeration is
+left for the oracle-only and non-strict counts, and as the fallback
+after a search of the perturbed polygon misses.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .convexity import _is_convex_vertices, _oracle_verdict, _sign_verdict, _sign_triples
+from .convexity import _is_convex_vertices, _oracle_verdict
 from .errors import CapabilityError, ExhaustionError, InputError, PreconditionError
-from .geometry import Polygon, _det, classify, perturb_to_strict
+from .geometry import Polygon, classify, perturb_to_strict
 
 GOOD = "good"
 BAD = "bad"
@@ -70,50 +72,110 @@ def triple_coloring(P: Polygon) -> TripleColoring:
     rep = classify(P)
     if not rep.strict:
         raise PreconditionError("triple_coloring needs a strict polygon")
-    vs = P.vertices
-    colors = {}
-    for i, j, k in itertools.combinations(range(rep.n), 3):
-        d = _det(vs[i].x, vs[i].y, vs[j].x, vs[j].y, vs[k].x, vs[k].y)
-        colors[(i, j, k)] = GOOD if d > 0 else BAD
+    pos, _ = _polygon_signs(P.vertices)
+    colors = {
+        (a, b, c): GOOD if pos[a][b] >> c & 1 else BAD
+        for a, b, c in itertools.combinations(range(rep.n), 3)
+    }
     return TripleColoring(n=rep.n, colors=colors)
+
+
+def _sign_table(n: int, row):
+    # For each pair a < b, the bitsets N+(a, b) and N-(a, b) of the
+    # vertices c > b whose triple (a, b, c) has positive and negative
+    # sign.  row(a, b) gives N+(a, b); the table only serves strict
+    # inputs, where N-(a, b) is every other vertex above b.
+    pos = [[0] * n for _ in range(n)]
+    neg = [[0] * n for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        pos[a][b] = p = row(a, b)
+        neg[a][b] = ((1 << n) - (2 << b)) ^ p
+    return pos, neg
+
+
+def _polygon_signs(vs):
+    def row(a, b):
+        (ax, ay), (bx, by) = vs[a], vs[b]
+        dx, dy = bx - ax, by - ay
+        p = 0
+        for c in range(b + 1, len(vs)):
+            cx, cy = vs[c]
+            if dx * (cy - ay) > (cx - ax) * dy:
+                p |= 1 << c
+        return p
+
+    return _sign_table(len(vs), row)
+
+
+def _monochromatic(table, n: int, k: int, budget):
+    # Yield (subset, GOOD or BAD) for every k-subset whose index triples
+    # share one sign, in lexicographic order.  A frame keeps one mask per
+    # sign of the vertices that extend the prefix in that sign; choosing v
+    # ANDs in N(a, v) for every chosen a, and a mask that cannot reach k
+    # is dropped.
+    pos_t, neg_t = table
+    full = (1 << n) - 1
+    chosen: list[int] = []
+    stack = [(full, full, full)]  # (untried, positive mask, negative mask)
+    visited = 0
+    while stack:
+        untried, pos, neg = stack[-1]
+        t = len(chosen)
+        if t + untried.bit_count() < k:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = untried & -untried
+        v = low.bit_length() - 1
+        rest = untried ^ low  # the untried candidates above v
+        stack[-1] = (rest, pos, neg)
+        visited += 1
+        if visited > budget:
+            raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
+        if t + 1 == k:
+            yield tuple(chosen) + (v,), (GOOD if pos & low else BAD)
+            continue
+        p = pos & rest if pos & low else 0
+        q = neg & rest if neg & low else 0
+        for a in chosen:
+            p &= pos_t[a][v]
+            q &= neg_t[a][v]
+        need = k - t - 1
+        p = p if p.bit_count() >= need else 0
+        q = q if q.bit_count() >= need else 0
+        if p | q:
+            chosen.append(v)
+            stack.append((p | q, p, q))
+
+
+def _check_subset_budget(n: int, k: int, budget) -> None:
+    total = math.comb(n, k)
+    if total > budget:
+        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
+
+
+def _convex_subsets(vs, k: int, verdict):
+    # lexicographic enumeration of the k-subsets the verdict accepts
+    for idx in itertools.combinations(range(len(vs)), k):
+        if verdict(tuple(vs[i] for i in idx)).convex:
+            yield idx
 
 
 def find_totally_monochromatic(coloring: TripleColoring, m: int):
     """First (lexicographically) m-subset all of whose triples share one
-    color, or None.  Partial subsets are extended only while every
-    completed triple agrees, which prunes most of the search tree."""
+    color, as (subset, GOOD or BAD), or None.  Runs the same bitset DFS
+    as the convex-subgon search, capped at DEFAULT_BUDGET nodes."""
     if m < 3:
         raise InputError(f"m must be >= 3, got {m}")
     n = coloring.n
     if m > n:
         return None
     colors = coloring.colors
-    chosen: list[int] = []
-
-    def extend(start: int, color):
-        t = len(chosen)
-        if t == m:
-            return tuple(chosen), color
-        for v in range(start, n - (m - t) + 1):
-            new_color = color
-            ok = True
-            if t >= 2:
-                for a, b in itertools.combinations(chosen, 2):
-                    c = colors[(a, b, v)]
-                    if new_color is None:
-                        new_color = c
-                    elif c != new_color:
-                        ok = False
-                        break
-            if ok:
-                chosen.append(v)
-                found = extend(v + 1, new_color)
-                if found:
-                    return found
-                chosen.pop()
-        return None
-
-    return extend(0, None)
+    table = _sign_table(
+        n, lambda a, b: sum(1 << c for c in range(b + 1, n) if colors[(a, b, c)] == GOOD)
+    )
+    return next(_monochromatic(table, n, m, DEFAULT_BUDGET), None)
 
 
 def count_convex_subgons(
@@ -123,95 +185,42 @@ def count_convex_subgons(
     budget: int = DEFAULT_BUDGET,
     oracle_only: bool = False,
 ) -> tuple[int, list[tuple[int, ...]] | None]:
-    """Count the convex sub-k-gons by exhaustive subset enumeration.
+    """Count the convex sub-k-gons; fails when C(n, k) exceeds the budget.
 
     Returns (count, subsets) where subsets lists the convex index tuples
-    when include_subsets is set.  With oracle_only the definition-level
-    test is applied to every sub-polygon, bypassing the fast sign route;
-    certificate verification relies on that mode.
+    in lexicographic order when include_subsets is set.  Strict polygons
+    count the leaves of the monochromatic DFS over their sign table;
+    other polygons test every k-subset.  With oracle_only the
+    definition-level test is applied to every sub-polygon, bypassing the
+    fast sign route; certificate verification relies on that mode.
     """
     n = len(P)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    total = math.comb(n, k)
-    if total > budget:
-        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
+    _check_subset_budget(n, k, budget)
     vs = P.vertices
-    strict_parent = not oracle_only and classify(P).strict
-    count = 0
-    subsets: list[tuple[int, ...]] | None = [] if include_subsets else None
-    for idx in itertools.combinations(range(n), k):
-        sub = tuple(vs[i] for i in idx)
-        if oracle_only:
-            ok = _oracle_verdict(sub).convex
-        elif strict_parent:
-            # sub-polygons of a strict polygon are strict
-            ok = True if k <= 3 else _sign_verdict(sub).convex
-        else:
-            ok = _is_convex_vertices(sub).convex
-        if ok:
-            count += 1
-            if subsets is not None:
-                subsets.append(idx)
-    return count, subsets
-
-
-def _dfs_strict(vs, k: int, budget: int):
-    # Depth-first search over increasing index tuples of a strict polygon.
-    # A partial tuple is extended by v only if every 4-subset completed by
-    # v is monochromatic (equivalently: a convex sub-4-gon).  An accepted
-    # k-tuple has all sub-4-gons convex, hence is convex.
-    n = len(vs)
-    sign: dict[tuple[int, int, int], int] = {}
-
-    def s(a: int, b: int, c: int) -> int:
-        key = (a, b, c)
-        val = sign.get(key)
-        if val is None:
-            d = _det(vs[a].x, vs[a].y, vs[b].x, vs[b].y, vs[c].x, vs[c].y)
-            val = 1 if d > 0 else -1
-            sign[key] = val
-        return val
-
-    visited = 0
-    chosen: list[int] = []
-
-    def extend(start: int):
-        nonlocal visited
-        t = len(chosen)
-        if t == k:
-            return tuple(chosen)
-        for v in range(start, n - (k - t) + 1):
-            visited += 1
-            if visited > budget:
-                raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
-            ok = True
-            if t >= 3:
-                for a, b, c in itertools.combinations(chosen, 3):
-                    ref = s(a, b, c)
-                    if s(a, b, v) != ref or s(a, c, v) != ref or s(b, c, v) != ref:
-                        ok = False
-                        break
-            if ok:
-                chosen.append(v)
-                found = extend(v + 1)
-                if found:
-                    return found
-                chosen.pop()
-        return None
-
-    return extend(0)
+    if not oracle_only and classify(P).strict:
+        # C(n, k) <= budget bounds this walk to C(n+1, k) nodes
+        hits = (s for s, _ in _monochromatic(_polygon_signs(vs), n, k, math.inf))
+    else:
+        hits = _convex_subsets(vs, k, _oracle_verdict if oracle_only else _is_convex_vertices)
+    if not include_subsets:
+        return sum(1 for _ in hits), None
+    subsets = list(hits)
+    return len(subsets), subsets
 
 
 def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     """Find an index subset whose sub-k-gon is convex, or None.
 
-    k <= 3 subsets are always convex.  Strict polygons use a pruned DFS
-    over monochromatic 4-subsets; non-strict polygons are perturbed into
-    strict position, searched there, and any hit is re-verified on the
-    original polygon -- with exhaustive enumeration as the fallback, so
-    the perturbation is an accelerator, never an authority.  The returned
-    subset is the lexicographically least one the search route produces.
+    k <= 3 subsets are always convex.  On a strict polygon the answer is
+    the lexicographically least convex subset, from the exhaustive
+    monochromatic DFS over the sign table (capped at budget nodes); its
+    None is final.  Non-strict polygons are perturbed into strict
+    position and searched there by the same DFS; a hit is re-verified on
+    the original polygon, with enumeration of all C(n, k) <= budget
+    subsets as the fallback, so the perturbation is an accelerator,
+    never an authority.
     """
     n = len(P)
     if not 1 <= k <= n:
@@ -220,35 +229,25 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
         return tuple(range(k))
     vs = P.vertices
 
+    def first_hit(Q):
+        found = next(_monochromatic(_polygon_signs(Q.vertices), n, k, budget), None)
+        return found and found[0]
+
     if classify(P).strict:
-        found = _dfs_strict(vs, k, budget)
-        if found is not None and not _is_convex_vertices(tuple(vs[i] for i in found)).convex:
-            # unreachable unless the 4-subset pruning logic is broken;
-            # fall through to plain enumeration rather than trust it
-            found = None
-        if found is not None:
-            return found
-        if k == 4:
-            return None  # the DFS was already exhaustive over 4-subsets
-    else:
-        try:
-            perturbed = perturb_to_strict(P, _PERTURB_SCALE, _PERTURB_JITTER, _PERTURB_SEED)
-        except (InputError, ExhaustionError):
-            perturbed = None
-        if perturbed is not None:
-            hit = _dfs_strict(perturbed.vertices, k, budget)
-            if hit is not None and _is_convex_vertices(tuple(vs[i] for i in hit)).convex:
-                return hit
+        hit = first_hit(P)
+        if hit is not None and not _is_convex_vertices(tuple(vs[i] for i in hit)).convex:
+            raise RuntimeError(
+                f"internal inconsistency: monochromatic subset {hit} is not a convex sub-{k}-gon"
+            )
+        return hit
+
+    try:
+        hit = first_hit(perturb_to_strict(P, _PERTURB_SCALE, _PERTURB_JITTER, _PERTURB_SEED))
+    except (InputError, ExhaustionError):
+        hit = None  # no strict perturbation
+    if hit is not None and _is_convex_vertices(tuple(vs[i] for i in hit)).convex:
+        return hit
 
     # ground-truth fallback: lexicographic enumeration with early exit
-    total = math.comb(n, k)
-    if total > budget:
-        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
-    for idx in itertools.combinations(range(n), k):
-        if _is_convex_vertices(tuple(vs[i] for i in idx)).convex:
-            return idx
-    return None
-
-
-# re-export for callers that want the raw triple order of the sign test
-sign_condition_triples = _sign_triples
+    _check_subset_budget(n, k, budget)
+    return next(_convex_subsets(vs, k, _is_convex_vertices), None)

@@ -14,6 +14,7 @@ from eszk import (
     find_totally_monochromatic,
     is_convex,
     oracle_test,
+    orient2d,
     sign_test,
     sub_polygon,
     triple_coloring,
@@ -154,6 +155,17 @@ class TestFind:
             P = random_convex_polygon(rng, n, 60)
             assert find_convex_subgon(P, k) == tuple(range(k))
 
+    def test_strict_none_needs_no_enumeration_budget(self):
+        # Strict 12-gon with no convex sub-5-gon.  The monochromatic DFS
+        # visits 156 nodes, far below C(12, 5) = 792, and its None is
+        # final: a budget in between must not trigger a C(n, k) pass.
+        P = Polygon([(14, 19), (32, 18), (-41, -30), (-39, -18), (-12, -22), (17, 49),
+                     (3, -28), (14, 42), (-49, -19), (20, -21), (6, 48), (-9, -22)])
+        assert count_convex_subgons(P, 5, oracle_only=True)[0] == 0
+        assert find_convex_subgon(P, 5, budget=700) is None
+        with pytest.raises(CapabilityError):
+            find_convex_subgon(P, 5, budget=100)
+
 
 class TestColoring:
     def test_square_all_good(self, unit_square):
@@ -202,6 +214,32 @@ class TestMonochromatic:
             assert (found is not None) == (count > 0)
             if found is not None:
                 assert is_convex(sub_polygon(P, found[0])).convex
+
+
+def test_sign_routes_match_oracle_brute_force(rng):
+    # differential: the one monochromatic DFS behind find, the strict
+    # count and the coloring search against plain oracle enumeration
+    for _ in range(30):
+        n = rng.randint(4, 10)
+        P = random_strict_polygon(rng, n, rng.choice([8, 40, 10**4]))
+        coloring = triple_coloring(P)
+        for k in range(4, n + 1):
+            convex = [
+                idx
+                for idx in itertools.combinations(range(n), k)
+                if oracle_test(sub_polygon(P, idx)).convex
+            ]
+            least = convex[0] if convex else None
+            assert find_convex_subgon(P, k) == least
+            assert count_convex_subgons(P, k, include_subsets=True) == count_convex_subgons(
+                P, k, include_subsets=True, oracle_only=True
+            )
+            mono = find_totally_monochromatic(coloring, k)
+            if least is None:
+                assert mono is None
+            else:
+                a, b, c = (P[i] for i in least[:3])
+                assert mono == (least, GOOD if orient2d(a, b, c) > 0 else BAD)
 
 
 def test_hereditary_property(rng):
