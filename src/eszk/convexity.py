@@ -62,25 +62,38 @@ def _sign_triples(n):
         yield (0, 1, k)
 
 
-def _sign_verdict(vs) -> ConvexityVerdict:
-    # Assumes vs is strict with len >= 4.
+def _sign_mismatch(vs):
+    # Scan the 3n-8 sign triples of vs, stopping at the first zero or
+    # sign change: None when every determinant is nonzero with one sign,
+    # else (triple, its sign, first triple, its sign), where a vanishing
+    # determinant has sign 0.  None is sound on any input (see is_convex;
+    # for n <= 3 there is at most the one triple (0, 1, 2)); a mismatch
+    # proves "not convex" only on strict input.
     ref = 0
     ref_triple = None
     for a, b, c in _sign_triples(len(vs)):
         d = _det(vs[a].x, vs[a].y, vs[b].x, vs[b].y, vs[c].x, vs[c].y)
-        s = 1 if d > 0 else -1
+        s = (d > 0) - (d < 0)
         if ref == 0:
             ref, ref_triple = s, (a, b, c)
-        elif s != ref:
-            return ConvexityVerdict(
-                False,
-                METHOD_SIGN_TEST,
-                witness=(
-                    f"vertex triple {(a, b, c)} has orientation {s} "
-                    f"but triple {ref_triple} has orientation {ref}"
-                ),
-            )
-    return ConvexityVerdict(True, METHOD_SIGN_TEST)
+        if s != ref or s == 0:
+            return (a, b, c), s, ref_triple, ref
+    return None
+
+
+def _sign_verdict(vs) -> ConvexityVerdict:
+    miss = _sign_mismatch(vs)
+    if miss is None:
+        return ConvexityVerdict(True, METHOD_SIGN_TEST)
+    triple, s, ref_triple, ref = miss
+    if s == 0:
+        witness = f"vertex triple {triple} is collinear"
+    else:
+        witness = (
+            f"vertex triple {triple} has orientation {s} "
+            f"but triple {ref_triple} has orientation {ref}"
+        )
+    return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
 
 
 def sign_test(P: Polygon) -> ConvexityVerdict:
@@ -189,10 +202,13 @@ def _is_convex_vertices(vs) -> ConvexityVerdict:
     n = len(vs)
     if n <= 3:
         return ConvexityVerdict(True, METHOD_SMALL_N)
+    verdict = _sign_verdict(vs)
+    if verdict.convex:
+        return verdict
     if _dimension(vs) <= 1:
         return ConvexityVerdict(True, METHOD_DIM_LE_1)
     if _is_strict(vs):
-        return _sign_verdict(vs)
+        return verdict
     return _oracle_verdict(vs)
 
 
@@ -202,6 +218,26 @@ def is_convex(P: Polygon) -> ConvexityVerdict:
     n <= 3 and dimension <= 1 polygons are convex; strict polygons with
     n >= 4 go through sign_test; everything else through oracle_test.
     Agrees with oracle_test on every input.
+
+    The 3n-8 sign determinants are scanned first, and when all are
+    nonzero with one sign the answer is "convex" by sign_test, in O(n)
+    time.  That needs no strictness check, because such a polygon is
+    strictly convex.  Say every sign is positive (the negative case is
+    its mirror image).  The triples (0, 1, k) put V2 ... V(n-1) in the
+    open half-plane left of V0V1, and the triples (0, j, j+1) order
+    V1 ... V(n-1) by strictly increasing angle around V0, all within
+    that half-plane.  The triples (i-1, i, i+1), (0, 1, 2) and
+    (0, n-2, n-1) make every turn of the closed walk left, the turn at
+    V0 included, as orient(V(n-1), V0, V1) = orient(V0, V1, V(n-1)).
+    A closed walk that fans once around V0 within a half-plane and turns
+    left at every vertex bounds a convex region with every vertex a
+    corner, so the vertices are in strictly convex position: distinct,
+    and no three on a line.
+
+    Any other outcome of the scan costs O(n) for the dimension and
+    O(n^2) expected for strictness; the scan's own "not convex" answer
+    stands only on a strict polygon, and the rest go through
+    oracle_test.
     """
     return _is_convex_vertices(P.vertices)
 
@@ -278,10 +314,11 @@ def is_pre_convex(P: Polygon) -> bool:
             f"permutation search, capped at n = {PERMUTATION_LIMIT} (got n = {rep.n})"
         )
     vs = P.vertices
-    # Convexity is invariant under cyclic shifts, so pin vertex 0 first.
+    # Convexity is invariant under cyclic shifts, so pin vertex 0 first;
+    # every order is non-strict too, so each goes to the oracle.
     for rest in itertools.permutations(range(1, rep.n)):
         ordered = (vs[0],) + tuple(vs[i] for i in rest)
-        if _is_convex_vertices(ordered).convex:
+        if _oracle_verdict(ordered).convex:
             return True
     return False
 

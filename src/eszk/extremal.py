@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InputError, PreconditionError
 from .convexity import _sign_triples
-from .geometry import COORD_BOUND, Polygon, _det, _is_strict, classify
+from .geometry import COORD_BOUND, Polygon, _det, _is_strict, _strict_through, classify
 from .subgons import DEFAULT_BUDGET, count_convex_subgons, find_convex_subgon
 
 # 7 vertices with no convex sub-4-gon among all 35 index subsets
@@ -65,17 +65,25 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
+        """Rebuild a record.  The bound is derived as n + 1, never read
+        from the record, and a record with k > n is rejected."""
         try:
             polygon = Polygon(tuple(v) for v in d["vertices"])
-            return cls(
-                polygon=polygon,
-                k=int(d["k"]),
-                claimed_bound=int(d["claimed_bound"]),
-                verified=bool(d["verified"]),
-                subgon_total=int(d["subgon_total"]),
-            )
+            k = int(d["k"])
+            verified = bool(d["verified"])
+            subgon_total = int(d["subgon_total"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate record: {exc}") from exc
+        n = len(polygon)
+        if k > n:
+            raise InputError(f"malformed certificate record: k = {k} exceeds n = {n}")
+        return cls(
+            polygon=polygon,
+            k=k,
+            claimed_bound=n + 1,
+            verified=verified,
+            subgon_total=subgon_total,
+        )
 
 
 @dataclass(frozen=True)
@@ -404,11 +412,11 @@ def _grow(P: Polygon, cfg: SearchConfig) -> Certificate | None:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.max_iterations):
         p = (rng.randint(-cfg.box, cfg.box), rng.randint(-cfg.box, cfg.box))
+        # strict base: only triples through p can be collinear, at any position
+        if not _strict_through(p, vs):
+            continue
         for pos in range(n + 1):
-            candidate = vs[:pos] + [p] + vs[pos:]
-            if not _new_vertex_strict(candidate, pos):
-                continue
-            poly = Polygon(candidate)
+            poly = Polygon(vs[:pos] + [p] + vs[pos:])
             if find_convex_subgon(poly, cfg.k) is not None:
                 continue
             cert = verify_certificate(poly, cfg.k)
@@ -416,15 +424,3 @@ def _grow(P: Polygon, cfg: SearchConfig) -> Certificate | None:
                 return cert
     return None
 
-
-def _new_vertex_strict(coords, pos: int) -> bool:
-    # Strictness of (strict base + one inserted vertex) only needs the
-    # triples through the new vertex.
-    n = len(coords)
-    px, py = coords[pos]
-    for a, b in itertools.combinations((i for i in range(n) if i != pos), 2):
-        ax, ay = coords[a]
-        bx, by = coords[b]
-        if (ax - px) * (by - py) == (bx - px) * (ay - py):
-            return False
-    return True

@@ -11,7 +11,7 @@ portable to fixed-width implementations.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -133,21 +133,46 @@ def _dimension(vs) -> int:
     return 1
 
 
-def _is_strict(vs) -> bool:
-    n = len(vs)
-    if n < 3:
-        return True
-    if len(set(vs)) != n:
-        # two equal vertices plus any third are collinear
-        return False
-    for (ax, ay), (bx, by), (cx, cy) in itertools.combinations(vs, 3):
-        if (bx - ax) * (cy - ay) == (cx - ax) * (by - ay):
+def _strict_through(p, others) -> bool:
+    """No two of the points others are collinear with p, and none equals p.
+
+    Hashes the direction from p to each point, reduced by the gcd and
+    signed so that opposite directions coincide: a repeated key is a
+    line through p holding two of them, and a gcd of 0 a copy of p.
+    O(len(others)) expected time.
+    """
+    px, py = p
+    seen = set()
+    for x, y in others:
+        dx, dy = x - px, y - py
+        g = math.gcd(dx, dy)
+        if g == 0:
             return False
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        key = (dx // g, dy // g)
+        if key in seen:
+            return False
+        seen.add(key)
     return True
 
 
+def _is_strict(vs) -> bool:
+    """No three vertices (by index) collinear; O(n^2) expected time.
+
+    A collinear triple a < b < c puts vs[b] and vs[c] on one line
+    through vs[a] (or on vs[a] itself), so one direction fan per anchor
+    a over the vertices after it finds every such triple.
+    """
+    return all(_strict_through(vs[a], vs[a + 1:]) for a in range(len(vs) - 2))
+
+
 def classify(P: Polygon) -> ClassificationReport:
-    """Report vertex count, strictness, ordinariness and dimension."""
+    """Report vertex count, strictness, ordinariness and dimension.
+
+    O(n) for the count, ordinariness and dimension; strictness of an
+    ordinary planar polygon costs O(n^2) expected time (_is_strict).
+    """
     vs = P.vertices
     n = len(vs)
     ordinary = len(set(vs)) == n

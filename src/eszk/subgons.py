@@ -6,7 +6,11 @@ convex exactly when all its vertex triples share one orientation sign,
 so one sign table per polygon and one exhaustive DFS for monochromatic
 index sets serve every strict search and count.  Subset enumeration is
 left for the oracle-only and non-strict counts, and as the fallback
-after a search of the perturbed polygon misses.
+after a search of the perturbed polygon misses.  Off the oracle-only
+route it builds one table of collinear triples per polygon (O(n^3) bit
+operations, from the same builder as the sign table) and reads each
+subset's strictness off it with mask ANDs, so a subset costs its
+O(k) sign scan, or the oracle when it is not strict.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .convexity import _is_convex_vertices, _oracle_verdict
+from .convexity import _is_convex_vertices, _oracle_verdict, _sign_mismatch
 from .errors import CapabilityError, ExhaustionError, InputError, PreconditionError
 from .geometry import Polygon, classify, perturb_to_strict
 
@@ -155,10 +159,39 @@ def _check_subset_budget(n: int, k: int, budget) -> None:
         raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
 
 
-def _convex_subsets(vs, k: int, verdict):
-    # lexicographic enumeration of the k-subsets the verdict accepts
+def _collinear_pairs(vs):
+    # (bitset {a, b}, Z(a, b)) for each pair a < b with a nonempty
+    # Z(a, b): the vertices c > b with (a, b, c) collinear.  N-(a, b) of
+    # vs holds the signs <= 0, and mirroring the polygon flips every
+    # sign, so N+(a, b) of the mirror holds those < 0.
+    _, nonpos = _polygon_signs(vs)
+    neg, _ = _polygon_signs([(-x, y) for x, y in vs])
+    return [
+        ((1 << a) | (1 << b), nonpos[a][b] ^ neg[a][b])
+        for a, b in itertools.combinations(range(len(vs)), 2)
+        if nonpos[a][b] != neg[a][b]
+    ]
+
+
+def _convex_subsets(vs, k: int, oracle_only: bool):
+    # Lexicographic enumeration of the k-subsets whose sub-k-gon is
+    # convex.  With oracle_only the oracle decides each.  Otherwise a
+    # subset is strict unless it holds both ends of a collinear pair and
+    # a vertex of its Z, read with mask ANDs; a strict subset is decided
+    # by the sign scan, complete there, any other by the oracle.  That is
+    # the verdict of _is_convex_vertices, without re-deriving dimension
+    # and strictness per subset.
+    lines = None if oracle_only else _collinear_pairs(vs)
+    bits = [1 << i for i in range(len(vs))]
     for idx in itertools.combinations(range(len(vs)), k):
-        if verdict(tuple(vs[i] for i in idx)).convex:
+        sub = tuple(vs[i] for i in idx)
+        if lines is not None:
+            mask = sum(map(bits.__getitem__, idx))
+            if not any(mask & ab == ab and mask & z for ab, z in lines):
+                if _sign_mismatch(sub) is None:
+                    yield idx
+                continue
+        if _oracle_verdict(sub).convex:
             yield idx
 
 
@@ -190,9 +223,11 @@ def count_convex_subgons(
     Returns (count, subsets) where subsets lists the convex index tuples
     in lexicographic order when include_subsets is set.  Strict polygons
     count the leaves of the monochromatic DFS over their sign table;
-    other polygons test every k-subset.  With oracle_only the
-    definition-level test is applied to every sub-polygon, bypassing the
-    fast sign route; certificate verification relies on that mode.
+    other polygons test every k-subset, with the sign scan when the
+    collinear-triple table shows it strict and the oracle otherwise.
+    With oracle_only the definition-level test is applied to every
+    sub-polygon, bypassing the fast sign route; certificate verification
+    relies on that mode.
     """
     n = len(P)
     if not 1 <= k <= n:
@@ -203,7 +238,7 @@ def count_convex_subgons(
         # C(n, k) <= budget bounds this walk to C(n+1, k) nodes
         hits = (s for s, _ in _monochromatic(_polygon_signs(vs), n, k, math.inf))
     else:
-        hits = _convex_subsets(vs, k, _oracle_verdict if oracle_only else _is_convex_vertices)
+        hits = _convex_subsets(vs, k, oracle_only)
     if not include_subsets:
         return sum(1 for _ in hits), None
     subsets = list(hits)
@@ -250,4 +285,4 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
 
     # ground-truth fallback: lexicographic enumeration with early exit
     _check_subset_budget(n, k, budget)
-    return next(_convex_subsets(vs, k, _is_convex_vertices), None)
+    return next(_convex_subsets(vs, k, False), None)

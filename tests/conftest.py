@@ -43,6 +43,17 @@ def extreme_points_brute(pts):
     return {p for p in distinct if not point_in_hull(p, [q for q in distinct if q != p])}
 
 
+def is_strict_brute(pts):
+    """No three of the points (by index) collinear; a repeated point
+    makes every triple through it collinear."""
+    return all(det(a, b, c) != 0 for a, b, c in itertools.combinations(pts, 3))
+
+
+def parabola_polygon(n):
+    """Strictly convex n-gon with vertices on y = x^2, in order."""
+    return Polygon((i, i * i) for i in range(n))
+
+
 def random_polygon(rng, n, box):
     return Polygon((rng.randint(-box, box), rng.randint(-box, box)) for _ in range(n))
 

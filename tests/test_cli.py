@@ -6,6 +6,7 @@ from eszk import Polygon, is_convex, parse_polygon
 from eszk.cli import main, render_svg
 from eszk.store import add_certificate, load_certificates
 from eszk.extremal import verify_certificate, SEVEN_GON_CERTIFICATE
+from conftest import parabola_polygon
 
 SEVEN_JSON = '{"vertices": [[-13,0],[15,0],[0,16],[18,39],[27,-15],[10,20],[16,30]]}'
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
@@ -115,6 +116,14 @@ def test_verify_cert_failure(capsys, square_file, tmp_path):
     assert not store.exists()  # nothing to record
 
 
+def test_check_strictly_convex_1000_gon(capsys, tmp_path):
+    path = tmp_path / "p1000.txt"
+    path.write_text("".join(f"{v.x} {v.y}\n" for v in parabola_polygon(1000)))
+    code, out, _ = run(capsys, ["check", str(path)])
+    assert code == 0
+    assert report_of(out)["result"] == {"convex": True, "method": "sign_test", "witness": None}
+
+
 def test_bounds(capsys, tmp_path):
     code, out, _ = run(capsys, ["bounds", "-k", "4", "--store", str(tmp_path / "none.json")])
     assert code == 0
@@ -134,6 +143,16 @@ def test_bounds_env_store(capsys, tmp_path, monkeypatch):
     assert not added  # identical to the seed record written on creation
     code, out, _ = run(capsys, ["bounds", "-k", "4"])
     assert code == 0 and report_of(out)["result"]["lower"] == 8
+
+
+def test_bounds_rejects_record_with_k_above_n(capsys, tmp_path):
+    store = tmp_path / "forged.json"
+    record = {"k": 5, "vertices": [[0, 0], [1, 0], [0, 1]], "claimed_bound": 99,
+              "verified": True, "subgon_total": 0}
+    store.write_text(json.dumps({"version": 1, "certificates": [record]}))
+    code, out, err = run(capsys, ["bounds", "-k", "5", "--store", str(store)])
+    assert code == 2 and out == ""
+    assert "k = 5 exceeds n = 3" in err
 
 
 def test_search_cli_small(capsys, tmp_path):

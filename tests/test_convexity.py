@@ -13,7 +13,9 @@ from eszk import (
     sign_test,
     to_one_side,
 )
+import eszk.convexity
 from conftest import (
+    parabola_polygon,
     point_in_hull,
     random_convex_polygon,
     random_polygon,
@@ -136,6 +138,21 @@ class TestDispatch:
         rotated = Polygon((-y, x) for x, y in pts)
         assert is_convex(translated).convex == base
         assert is_convex(rotated).convex == base
+
+
+def test_strictly_convex_fast_path_costs_3n_minus_8_determinants(monkeypatch):
+    calls = []
+    det = eszk.convexity._det
+
+    def counted(*args):
+        calls.append(args)
+        return det(*args)
+
+    monkeypatch.setattr(eszk.convexity, "_det", counted)
+    n = 1000
+    verdict = is_convex(parabola_polygon(n))
+    assert (verdict.convex, verdict.method) == (True, "sign_test")
+    assert len(calls) == 3 * n - 8
 
 
 def test_differential_small_sample(rng):

@@ -15,10 +15,13 @@ from eszk import (
     perturb_to_strict,
     sign_test,
 )
-from conftest import extreme_points_brute, random_polygon
+from eszk.geometry import _is_strict, _strict_through
+from conftest import det, extreme_points_brute, is_strict_brute, random_polygon
 
 coord = st.integers(-1000, 1000)
 point = st.tuples(coord, coord)
+# a 9 x 9 grid makes repeated points and collinear triples common
+grid_point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
 @pytest.mark.parametrize(
@@ -104,6 +107,25 @@ def test_classify_strict_implies_ordinary(pts, dup):
     rep = classify(P)
     if rep.strict and rep.n >= 3:
         assert rep.ordinary
+
+
+@given(st.lists(grid_point, max_size=12))
+def test_is_strict_matches_brute_force(pts):
+    expected = is_strict_brute(pts)
+    assert _is_strict([Point(*p) for p in pts]) == expected
+    if pts:
+        assert classify(Polygon(pts)).strict == expected
+
+
+@given(grid_point, st.lists(grid_point, max_size=11))
+def test_strict_through_matches_brute_force(p, others):
+    expected = p not in others and all(
+        det(p, a, b) != 0 for a, b in itertools.combinations(others, 2)
+    )
+    assert _strict_through(p, others) == expected
+    if len(others) >= 2 and is_strict_brute(others):
+        # the use in grow: a strict base plus one new vertex
+        assert _strict_through(p, others) == is_strict_brute([p] + others)
 
 
 def test_convex_hull_drops_edge_interior_points():

@@ -39,6 +39,17 @@ def test_bounds_pick_up_store(tmp_path, seven_gon):
     assert record.lower == 8
 
 
+def test_forged_bound_is_derived_from_the_polygon(tmp_path, seven_gon):
+    # a 5-gon record proves at most 6, whatever claimed_bound it carries
+    store = tmp_path / "forged.json"
+    record = {"k": 5, "vertices": [list(v) for v in seven_gon.vertices[:5]],
+              "claimed_bound": 99, "verified": True, "subgon_total": 1}
+    store.write_text(json.dumps({"version": 1, "certificates": [record]}))
+    certs = load_certificates(str(store))
+    assert certs[0].claimed_bound == 6
+    assert bounds_for(5, certs).lower == 6
+
+
 def test_corrupt_store_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -9,6 +9,7 @@ from eszk import (
     InputError,
     Polygon,
     PreconditionError,
+    classify,
     count_convex_subgons,
     find_convex_subgon,
     find_totally_monochromatic,
@@ -19,6 +20,7 @@ from eszk import (
     sub_polygon,
     triple_coloring,
 )
+from eszk.subgons import _convex_subsets
 from conftest import random_convex_polygon, random_polygon, random_strict_polygon
 
 HEXAGON = [(0, 0), (4, -1), (7, 2), (6, 6), (2, 7), (-2, 3)]
@@ -240,6 +242,31 @@ def test_sign_routes_match_oracle_brute_force(rng):
             else:
                 a, b, c = (P[i] for i in least[:3])
                 assert mono == (least, GOOD if orient2d(a, b, c) > 0 else BAD)
+
+
+def test_non_strict_enumeration_matches_oracle(rng):
+    # differential: subset strictness read off the collinear-triple
+    # table, then the sign scan or the oracle, against plain oracle
+    # enumeration, for the non-strict count and the fallback of find
+    for trial in range(40):
+        n = rng.randint(4, 10)
+        pts = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)]
+        a, b, c = rng.sample(range(n), 3)
+        if trial % 2:
+            pts[c] = pts[a]  # planted duplicate
+        else:
+            pts[c] = (2 * pts[b][0] - pts[a][0], 2 * pts[b][1] - pts[a][1])  # on line ab
+        P = Polygon(pts)
+        assert not classify(P).strict
+        for k in range(1, n + 1):
+            convex = [
+                idx
+                for idx in itertools.combinations(range(n), k)
+                if oracle_test(sub_polygon(P, idx)).convex
+            ]
+            assert count_convex_subgons(P, k, include_subsets=True) == (len(convex), convex)
+            first = next(_convex_subsets(P.vertices, k, False), None)
+            assert first == (convex[0] if convex else None)
 
 
 def test_hereditary_property(rng):
