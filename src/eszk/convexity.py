@@ -102,15 +102,18 @@ def sign_test(P: Polygon) -> ConvexityVerdict:
     Scans the 3n-8 determinants whose common sign characterizes
     convexity, stopping at the first mismatch; the witness names the
     first failing triple.  Raises PreconditionError on non-strict or
-    short input (use oracle_test there).
+    short input (use oracle_test there).  A convex scan proves
+    strictness (see is_convex), so that answer costs O(n); strictness
+    is checked, in O(n^2) expected time, only on a mismatch.
     """
-    rep = classify(P)
-    if not rep.strict or rep.n < 4:
+    vs = P.vertices
+    verdict = _sign_verdict(vs) if len(vs) >= 4 else None
+    if verdict is None or not (verdict.convex or _is_strict(vs)):
         raise PreconditionError(
             f"sign_test needs a strict polygon with n >= 4 "
-            f"(got n={rep.n}, strict={rep.strict}); use oracle_test instead"
+            f"(got n={len(vs)}, strict={_is_strict(vs)}); use oracle_test instead"
         )
-    return _sign_verdict(P.vertices)
+    return verdict
 
 
 def _on_segment(p, q, a) -> bool:

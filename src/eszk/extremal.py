@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 from .errors import InputError, PreconditionError
 from .convexity import _sign_triples
-from .geometry import COORD_BOUND, Polygon, _det, _is_strict, _strict_through, classify
-from .subgons import DEFAULT_BUDGET, count_convex_subgons, find_convex_subgon
+from .geometry import COORD_BOUND, Polygon, _is_strict, _strict_through, classify
+from .subgons import DEFAULT_BUDGET, _polygon_signs, count_convex_subgons, find_convex_subgon
 
 # 7 vertices with no convex sub-4-gon among all 35 index subsets
 # (exhaustively verified); witnesses bound >= 8 for k = 4.
@@ -69,11 +69,17 @@ class Certificate:
         from the record, and a record with k > n is rejected."""
         try:
             polygon = Polygon(tuple(v) for v in d["vertices"])
-            k = int(d["k"])
-            verified = bool(d["verified"])
+            k = d["k"]
+            verified = d["verified"]
             subgon_total = int(d["subgon_total"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate record: {exc}") from exc
+        if type(k) is not int:
+            raise InputError(f"malformed certificate record: k = {k!r} is not an integer")
+        if type(verified) is not bool:
+            raise InputError(
+                f"malformed certificate record: verified = {verified!r} is not true or false"
+            )
         n = len(polygon)
         if k > n:
             raise InputError(f"malformed certificate record: k = {k} exceeds n = {n}")
@@ -129,6 +135,8 @@ class SearchConfig:
                 )
             if any(max(abs(v.x), abs(v.y)) > self.box for v in self.initial.vertices):
                 raise InputError("initial polygon leaves the coordinate box")
+            if not _is_strict(self.initial.vertices):
+                raise InputError("initial polygon is not strict: it has a collinear vertex triple")
 
 
 @dataclass(frozen=True)
@@ -221,85 +229,67 @@ def _sample_strict(rng: random.Random, n: int, box: int):
 class _SubgonCounter:
     """Incremental count of convex sub-k-gons of a strict polygon.
 
-    Caches the orientation sign of every vertex triple and the convexity
-    flag of every k-subset; moving one vertex refreshes only the triples
-    and subsets containing it.  For a strict polygon a sub-k-gon is
-    convex exactly when its sign-condition triples agree, so the cached
-    count always equals what count_convex_subgons reports.
+    sign is one int with bit t set when the t-th index triple (in
+    combinations order) turns left, read off the subgons sign table.
+    fan[v] lists (u, w, bit) for every triple through v, rotated so that
+    (v, u, w) has the triple's orientation, and through[v] ORs those
+    bits.  Each k-subset is one mask m, the OR of the bits of its
+    sign-condition triples; it is convex exactly when sign & m is 0 or
+    m (for k <= 3, m is 0 or one bit, so every subset counts).  On a
+    strict polygon that is exactly when the sub-k-gon is convex, so the
+    count equals what count_convex_subgons reports; the caller passes a
+    strict polygon.  Moving v recomputes the bits of fan[v] and rescores
+    only masks[v], the subsets through v.
     """
 
     def __init__(self, coords, k: int):
-        self.n = n = len(coords)
-        self.k = k
+        n = len(coords)
         self.coords = list(coords)
-        self.triples_with = [[] for _ in range(n)]
-        self.sign = {}
-        for t in itertools.combinations(range(n), 3):
-            a, b, c = t
-            d = _det(*coords[a], *coords[b], *coords[c])
-            if d == 0:
-                raise ValueError("counter requires a strict polygon")
-            self.sign[t] = 1 if d > 0 else -1
-            for v in t:
-                self.triples_with[v].append(t)
-        self.subset_checks = {}
-        self.subsets_with = [[] for _ in range(n)]
-        self.flag = {}
+        pos, _ = _polygon_signs(self.coords)
+        self.sign = 0
+        self.fan = [[] for _ in range(n)]
+        self.through = [0] * n
+        bits = {}
+        for i, (a, b, c) in enumerate(itertools.combinations(range(n), 3)):
+            bits[a, b, c] = bit = 1 << i
+            self.sign |= bit if pos[a][b] >> c & 1 else 0
+            for v, u, w in ((a, b, c), (b, c, a), (c, a, b)):
+                self.fan[v].append((u, w, bit))
+                self.through[v] |= bit
+        self.masks = [[] for _ in range(n)]
+        self.count = 0
         for s in itertools.combinations(range(n), k):
-            if k >= 4:
-                self.subset_checks[s] = tuple(
-                    (s[a], s[b], s[c]) for a, b, c in _sign_triples(k)
-                )
+            m = 0
+            for a, b, c in _sign_triples(k):
+                m |= bits[s[a], s[b], s[c]]
             for v in s:
-                self.subsets_with[v].append(s)
-            self.flag[s] = self._convex(s, {})
-        self.count = sum(self.flag.values())
-
-    def _convex(self, s, new_signs) -> bool:
-        # new_signs overlays self.sign for a proposed move
-        if self.k <= 3:
-            return True
-        sign = self.sign
-        checks = self.subset_checks[s]
-        t0 = checks[0]
-        ref = new_signs.get(t0)
-        if ref is None:
-            ref = sign[t0]
-        for t in checks[1:]:
-            val = new_signs.get(t)
-            if val is None:
-                val = sign[t]
-            if val != ref:
-                return False
-        return True
+                self.masks[v].append(m)
+            self.count += self.sign & m in (0, m)
 
     def propose(self, v: int, point):
-        """Evaluate moving vertex v to point; None if that breaks strictness."""
+        """Evaluate moving vertex v to point: (delta, new sign), or None
+        if that breaks strictness."""
         coords = self.coords
         px, py = point
-        new_signs = {}
-        for t in self.triples_with[v]:
-            a, b, c = t
-            ax, ay = (px, py) if a == v else coords[a]
-            bx, by = (px, py) if b == v else coords[b]
-            cx, cy = (px, py) if c == v else coords[c]
-            d = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-            if d == 0:
+        fresh = 0
+        for u, w, bit in self.fan[v]:
+            ux, uy = coords[u]
+            wx, wy = coords[w]
+            d = (ux - px) * (wy - py) - (wx - px) * (uy - py)
+            if d > 0:
+                fresh |= bit
+            elif d == 0:
                 return None
-            new_signs[t] = 1 if d > 0 else -1
+        old = self.sign
+        new = old & ~self.through[v] | fresh
         delta = 0
-        new_flags = {}
-        for s in self.subsets_with[v]:
-            f = self._convex(s, new_signs)
-            if f != self.flag[s]:
-                new_flags[s] = f
-                delta += 1 if f else -1
-        return delta, new_signs, new_flags
+        for m in self.masks[v]:
+            delta += (new & m in (0, m)) - (old & m in (0, m))
+        return delta, new
 
-    def commit(self, v: int, point, delta: int, new_signs, new_flags):
+    def commit(self, v: int, point, delta: int, sign: int):
         self.coords[v] = tuple(point)
-        self.sign.update(new_signs)
-        self.flag.update(new_flags)
+        self.sign = sign
         self.count += delta
 
 
@@ -326,9 +316,9 @@ def _run_restart(cfg: SearchConfig, index: int, record_trace: bool = False):
         if abs(p[0]) <= cfg.box and abs(p[1]) <= cfg.box:
             outcome = counter.propose(v, p)
             if outcome is not None:
-                delta, new_signs, new_flags = outcome
+                delta, sign = outcome
                 if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                    counter.commit(v, p, delta, new_signs, new_flags)
+                    counter.commit(v, p, delta, sign)
                     if counter.count < best_count:
                         best_count = counter.count
                         best_coords = list(counter.coords)

@@ -41,18 +41,34 @@ def _read(path: str) -> dict:
 
 
 def _write(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    # Write a sibling temp file and rename it over the store, so a crash
+    # mid-write leaves the previous store intact.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_certificates(path: str | None = None) -> list[Certificate]:
-    """Certificates from the store; an absent file is an empty store."""
+    """Certificates from the store; an absent file is an empty store.
+    A malformed record raises InputError naming the store and its
+    position, certificates[i]."""
     path = resolve_store_path(path)
     if not os.path.exists(path):
         return []
-    data = _read(path)
-    return [Certificate.from_dict(rec) for rec in data["certificates"]]
+    certs = []
+    for i, rec in enumerate(_read(path)["certificates"]):
+        try:
+            certs.append(Certificate.from_dict(rec))
+        except InputError as exc:
+            raise InputError(f"store file {path}, certificates[{i}]: {exc}") from exc
+    return certs
 
 
 def add_certificate(cert: Certificate, path: str | None = None) -> bool:

@@ -155,6 +155,15 @@ def test_bounds_rejects_record_with_k_above_n(capsys, tmp_path):
     assert "k = 5 exceeds n = 3" in err
 
 
+def test_bounds_reports_position_of_malformed_record(capsys, tmp_path):
+    store = tmp_path / "typed.json"
+    record = dict(verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict(), verified="false")
+    store.write_text(json.dumps({"version": 1, "certificates": [record]}))
+    code, out, err = run(capsys, ["bounds", "-k", "4", "--store", str(store)])
+    assert code == 2 and out == ""
+    assert f"store file {store}, certificates[0]: " in err
+
+
 def test_search_cli_small(capsys, tmp_path):
     argv = [
         "search", "-n", "5", "-k", "4", "--seed", "1",

@@ -51,6 +51,16 @@ class TestSignTest:
         with pytest.raises(PreconditionError):
             sign_test(Polygon([(0, 0), (1, 0), (0, 1)]))
 
+    def test_convex_answer_skips_strictness(self, monkeypatch):
+        # an all-agreeing scan proves strictness, so no O(n^2) check runs
+        def fail(*args):
+            raise AssertionError("strictness checked on a convex scan")
+
+        monkeypatch.setattr(eszk.convexity, "classify", fail)
+        monkeypatch.setattr(eszk.convexity, "_is_strict", fail)
+        verdict = sign_test(parabola_polygon(1000))
+        assert (verdict.convex, verdict.method) == (True, "sign_test")
+
 
 class TestOracle:
     def test_collinear_triangle(self):

@@ -14,6 +14,7 @@ from eszk import (
     sub_polygon,
     verify_certificate,
 )
+import eszk.extremal
 from eszk.extremal import _run_restart
 
 
@@ -86,6 +87,16 @@ class TestVerifyCertificate:
         assert again == cert
         assert verify_certificate(again.polygon, again.k).verified
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", "4"), ("k", 4.0), ("k", True), ("verified", "false"), ("verified", 1)],
+    )
+    def test_from_dict_requires_json_types(self, field, value):
+        record = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
+        record[field] = value
+        with pytest.raises(InputError, match=field):
+            Certificate.from_dict(record)
+
     def test_json_shape(self):
         d = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
         assert set(d) == {"k", "vertices", "claimed_bound", "verified", "subgon_total"}
@@ -119,6 +130,10 @@ class TestSearchConfig:
             SearchConfig(n=6, k=4, seed=1, initial=seven_gon)
         with pytest.raises(InputError):
             SearchConfig(n=7, k=4, seed=1, box=20, initial=seven_gon)
+
+    def test_initial_must_be_strict(self):
+        with pytest.raises(InputError, match="not strict"):
+            SearchConfig(n=4, k=4, seed=1, initial=Polygon([(0, 0), (1, 0), (2, 0), (0, 1)]))
 
 
 SMALL = dict(restarts=6, max_iterations=400)
@@ -165,6 +180,20 @@ class TestSearch:
         _, _, trace = _run_restart(cfg, 0, record_trace=True)
         assert all(a >= b for a, b in zip(trace, trace[1:]))
 
+    def test_counter_matches_recount_after_every_move(self, monkeypatch):
+        cfg = SearchConfig(n=7, k=4, seed=2, restarts=1, max_iterations=600)
+        commit = eszk.extremal._SubgonCounter.commit
+        commits = []
+
+        def checked_commit(counter, *args):
+            commit(counter, *args)
+            commits.append(counter.count)
+            assert counter.count == count_convex_subgons(Polygon(counter.coords), cfg.k)[0]
+
+        monkeypatch.setattr(eszk.extremal._SubgonCounter, "commit", checked_commit)
+        _run_restart(cfg, 0, record_trace=False)
+        assert len(commits) > 100
+
     def test_workers_validation(self):
         cfg = SearchConfig(n=5, k=4, seed=1, restarts=1, max_iterations=1)
         with pytest.raises(InputError):
@@ -185,6 +214,39 @@ class TestSearch:
             assert count_convex_subgons(result.best, 4, oracle_only=True)[0] == 0
         else:
             assert result.certificate is None
+
+
+PENTAGON = Polygon([(0, 0), (10, 0), (14, 8), (5, 14), (-4, 8)])
+
+# (objective, best coords) of _run_restart for restart seeds derived from
+# seed 601, recorded from the dict-based counter that preceded the sign
+# bitmask; the counter must not change a single RNG draw or acceptance.
+RESTART_GOLDENS = [
+    ((7, 4), None, 0, 1,
+     [(5, -14), (49, -34), (-44, 50), (10, 2), (17, 12), (30, 40), (-9, -28)]),
+    ((7, 4), None, 1, 1,
+     [(-26, -43), (28, 44), (23, 33), (-19, -1), (47, -34), (-1, 1), (7, -22)]),
+    ((7, 4), None, 2, 1,
+     [(35, -23), (-30, 41), (11, 14), (22, -23), (-28, -29), (43, 11), (10, -4)]),
+    ((8, 5), None, 1, 0,
+     [(-12, -8), (17, 14), (-14, 23), (-13, 32), (-18, -50), (13, -29), (25, -21), (-48, 49)]),
+    ((8, 5), None, 3, 0,
+     [(49, -48), (-49, 45), (5, -18), (32, 31), (13, 32), (-37, 35), (-29, 1), (34, 43)]),
+    ((8, 5), None, 9, 0,
+     [(34, 24), (-16, -49), (-9, 1), (46, 11), (-8, -20), (-31, -9), (-47, -35), (27, -12)]),
+    ((5, 3), None, 0, 10, [(42, -41), (44, -34), (-29, -8), (-22, 12), (-27, 14)]),
+    ((5, 3), None, 1, 10, [(-16, -20), (17, 21), (-3, 30), (-23, 29), (-18, -44)]),
+    ((5, 5), PENTAGON, 0, 0, [(-4, 1), (10, 3), (11, 14), (9, 9), (-3, 10)]),
+    ((5, 5), PENTAGON, 1, 0, [(1, 1), (17, -4), (16, 15), (5, 14), (-12, 4)]),
+    ((5, 5), PENTAGON, 2, 0, [(-2, 3), (10, 0), (12, 6), (4, 15), (1, 5)]),
+]
+
+
+@pytest.mark.parametrize("nk, initial, index, objective, coords", RESTART_GOLDENS)
+def test_restart_goldens(nk, initial, index, objective, coords):
+    n, k = nk
+    cfg = SearchConfig(n=n, k=k, seed=601, max_iterations=1500, initial=initial)
+    assert _run_restart(cfg, index) == (objective, coords)
 
 
 class TestGrow:

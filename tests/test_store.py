@@ -3,6 +3,7 @@ import json
 import pytest
 
 from eszk import InputError, Polygon, SEVEN_GON_CERTIFICATE, bounds_for, verify_certificate
+import eszk.store
 from eszk.store import add_certificate, load_certificates, resolve_store_path
 
 
@@ -58,6 +59,44 @@ def test_corrupt_store_rejected(tmp_path):
     bad.write_text(json.dumps({"certificates": "nope"}))
     with pytest.raises(InputError):
         load_certificates(str(bad))
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("vertices", [[0, 0], [1, 2, 3], [0, 1], [1, 1]], "(1, 2, 3)"),
+        ("subgon_total", "many", "invalid literal for int()"),
+        ("verified", "false", "verified = 'false'"),
+        ("k", "4", "k = '4'"),
+    ],
+)
+def test_malformed_record_error_gives_position(tmp_path, field, value, reason):
+    good = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
+    store = tmp_path / "s.json"
+    bad = dict(good, **{field: value})
+    store.write_text(json.dumps({"version": 1, "certificates": [good, bad]}))
+    with pytest.raises(InputError) as info:
+        load_certificates(str(store))
+    message = str(info.value)
+    assert f"store file {store}, certificates[1]: " in message
+    assert reason in message
+
+
+def test_crash_mid_write_keeps_previous_store(tmp_path, monkeypatch, seven_gon):
+    store = str(tmp_path / "s.json")
+    add_certificate(verify_certificate(Polygon(seven_gon.vertices[:5]), 4), store)
+    before = load_certificates(store)
+
+    def crashing_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:40])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(eszk.store.json, "dump", crashing_dump)
+    with pytest.raises(OSError):
+        add_certificate(verify_certificate(Polygon(seven_gon.vertices[:6]), 4), store)
+    monkeypatch.undo()
+    assert load_certificates(store) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
 def test_resolve_precedence(monkeypatch):
