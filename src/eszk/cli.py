@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One subcommand per library operation, one machine-parseable JSON report
-on stdout (or flat text with --format text), diagnostics on stderr.
+on stdout (or flat text with --format text), diagnostics on stderr.  The
+global flags --format and --svg go before or after the subcommand.
 Exit codes: 0 success / positive verdict, 1 negative verdict (check,
 pre-convex, find-subgon, verify-cert), 2 usage or input errors, 3
 capability limits.
@@ -10,6 +11,7 @@ capability limits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,14 +19,7 @@ import sys
 import time
 
 from .convexity import convex_permutations, is_convex, is_pre_convex
-from .errors import (
-    CapabilityError,
-    EszkError,
-    ExhaustionError,
-    InputError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import CapabilityError, EszkError, ExhaustionError, InputError
 from .extremal import SearchConfig, _grow, bounds_for, search_extremal, verify_certificate
 from .formats import parse_polygon
 from .geometry import Polygon, classify, convex_hull
@@ -45,18 +40,23 @@ def _digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def _store_verified(cert, store):
+    """Append a verified certificate to the store, noting a new record on stderr."""
+    if cert is not None and cert.verified:
+        path = resolve_store_path(store)
+        if add_certificate(cert, path):
+            print(f"stored certificate in {path}", file=sys.stderr)
+
+
 def _cmd_classify(args):
     P, raw = _read_polygon(args.file)
-    rep = classify(P)
-    payload = {"n": rep.n, "strict": rep.strict, "ordinary": rep.ordinary, "dimension": rep.dimension}
-    return payload, 0, P, raw
+    return dataclasses.asdict(classify(P)), 0, P, raw
 
 
 def _cmd_check(args):
     P, raw = _read_polygon(args.file)
     verdict = is_convex(P)
-    payload = {"convex": verdict.convex, "method": verdict.method, "witness": verdict.witness}
-    return payload, 0 if verdict.convex else 1, P, raw
+    return dataclasses.asdict(verdict), 0 if verdict.convex else 1, P, raw
 
 
 def _cmd_pre_convex(args):
@@ -87,26 +87,13 @@ def _cmd_find_subgon(args):
 def _cmd_verify_cert(args):
     P, raw = _read_polygon(args.file)
     cert = verify_certificate(P, args.k)
-    payload = cert.to_dict()
-    if cert.verified:
-        path = resolve_store_path(args.store)
-        if add_certificate(cert, path):
-            print(f"stored certificate in {path}", file=sys.stderr)
-    return payload, 0 if cert.verified else 1, P, raw
+    _store_verified(cert, args.store)
+    return cert.to_dict(), 0 if cert.verified else 1, P, raw
 
 
 def _cmd_bounds(args):
     certs = load_certificates(args.store)
-    record = bounds_for(args.k, certs)
-    payload = {
-        "k": record.k,
-        "lower": record.lower,
-        "lower_provenance": record.lower_provenance,
-        "upper": record.upper,
-        "upper_provenance": record.upper_provenance,
-        "symbolic_upper": record.symbolic_upper,
-    }
-    return payload, 0, None, f"k={args.k}".encode()
+    return dataclasses.asdict(bounds_for(args.k, certs)), 0, None, f"k={args.k}".encode()
 
 
 def _cmd_search(args):
@@ -129,10 +116,7 @@ def _cmd_search(args):
         "best": {"vertices": [[v.x, v.y] for v in result.best.vertices]},
         "certificate": result.certificate.to_dict() if result.certificate else None,
     }
-    if result.certificate and result.certificate.verified:
-        path = resolve_store_path(args.store)
-        if add_certificate(result.certificate, path):
-            print(f"stored certificate in {path}", file=sys.stderr)
+    _store_verified(result.certificate, args.store)
     digest_src = json.dumps(
         {"n": cfg.n, "k": cfg.k, "seed": cfg.seed, "box": cfg.box, "iters": cfg.max_iterations,
          "restarts": cfg.restarts, "t0": cfg.t0, "decay": cfg.decay, "radius": cfg.radius},
@@ -152,20 +136,6 @@ def _cmd_grow(args):
         "certificate": cert.to_dict() if cert else None,
     }
     return payload, 0 if cert else 1, cert.polygon if cert else P, raw
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "check": _cmd_check,
-    "pre-convex": _cmd_pre_convex,
-    "permutations": _cmd_permutations,
-    "count-subgons": _cmd_count_subgons,
-    "find-subgon": _cmd_find_subgon,
-    "verify-cert": _cmd_verify_cert,
-    "bounds": _cmd_bounds,
-    "search": _cmd_search,
-    "grow": _cmd_grow,
-}
 
 
 def render_svg(P: Polygon, size: int = 800, margin: int = 20) -> str:
@@ -221,55 +191,51 @@ def _emit(report: dict, fmt: str) -> None:
     print("\n".join(lines))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=["json", "text"], default="json",
-                        help="report format (default json)")
-    shared.add_argument("--svg", metavar="OUT.svg", default=None,
-                        help="also write an SVG of the polygon and its hull")
+def _global_flags(p: argparse.ArgumentParser, fmt, svg) -> None:
+    p.add_argument("--format", choices=["json", "text"], default=fmt,
+                   help="report format (default json)")
+    p.add_argument("--svg", metavar="OUT.svg", default=svg,
+                   help="also write an SVG of the polygon and its hull")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eszk",
-        parents=[shared],
         description="Exact integer toolkit for ordered-polygon convexity.",
     )
+    _global_flags(parser, "json", None)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def cmd(name, help_text, **kwargs):
-        return sub.add_parser(name, parents=[shared], help=help_text, **kwargs)
+    def cmd(name, handler, help_text, *, file=True, k=True, store=False):
+        p = sub.add_parser(name, help=help_text)
+        # argparse copies a subcommand's namespace over the top-level one, so
+        # the subcommand's copy of a global flag must have no default: an
+        # absent flag then keeps the value given before the subcommand.
+        _global_flags(p, argparse.SUPPRESS, argparse.SUPPRESS)
+        p.set_defaults(handler=handler)
+        if file:
+            p.add_argument("file")
+        if k:
+            p.add_argument("-k", type=int, required=True)
+        if store:
+            p.add_argument("--store", default=None, help="certificate store path")
+        return p
 
-    p = cmd("classify", "vertex count, strictness, ordinariness, dimension")
-    p.add_argument("file")
+    cmd("classify", _cmd_classify, "vertex count, strictness, ordinariness, dimension", k=False)
+    cmd("check", _cmd_check, "convexity verdict; exit 0 if convex, 1 if not", k=False)
+    cmd("pre-convex", _cmd_pre_convex, "does some vertex order form a convex polygon; exit 0/1",
+        k=False)
+    cmd("permutations", _cmd_permutations, "census of convex vertex orders (n <= 8)", k=False)
+    cmd("count-subgons", _cmd_count_subgons, "count convex sub-k-gons by exhaustive enumeration")
+    cmd("find-subgon", _cmd_find_subgon, "find one convex sub-k-gon; exit 0 found, 1 none")
+    cmd("verify-cert", _cmd_verify_cert,
+        "exhaustively verify a no-convex-sub-k-gon certificate; exit 0/1", store=True)
+    cmd("bounds", _cmd_bounds, "best known bounds on the least n forcing a convex sub-k-gon",
+        file=False, store=True)
 
-    p = cmd("check", "convexity verdict; exit 0 if convex, 1 if not")
-    p.add_argument("file")
-
-    p = cmd("pre-convex", "does some vertex order form a convex polygon; exit 0/1")
-    p.add_argument("file")
-
-    p = cmd("permutations", "census of convex vertex orders (n <= 8)")
-    p.add_argument("file")
-
-    p = cmd("count-subgons", "count convex sub-k-gons by exhaustive enumeration")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
-
-    p = cmd("find-subgon", "find one convex sub-k-gon; exit 0 found, 1 none")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
-
-    p = cmd("verify-cert", "exhaustively verify a no-convex-sub-k-gon certificate; exit 0/1")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--store", default=None, help="certificate store path")
-
-    p = cmd("bounds", "best known bounds on the least n forcing a convex sub-k-gon")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--store", default=None, help="certificate store path")
-
-    p = cmd("search", "annealing search for polygons with no convex sub-k-gon")
+    p = cmd("search", _cmd_search, "annealing search for polygons with no convex sub-k-gon",
+            file=False, store=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--iters", type=int, default=5000)
     p.add_argument("--restarts", type=int, default=200)
@@ -277,32 +243,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temp", type=float, default=2.0)
     p.add_argument("--decay", type=float, default=0.999)
     p.add_argument("--radius", type=int, default=5)
-    p.add_argument("--store", default=None, help="certificate store path")
     p.add_argument("--parallel", type=int, default=1, metavar="W",
                    help="worker processes for restarts (result is identical)")
 
-    p = cmd("grow", "insert one vertex into a certified polygon, keeping objective zero")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
+    p = cmd("grow", _cmd_grow, "insert one vertex into a certified polygon, keeping objective zero")
     p.add_argument("--seed", type=int, required=True)
 
     return parser
 
 
+# Built once: every parse_args call returns a fresh namespace.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    handler = _COMMANDS[args.command]
     start = time.perf_counter()
     try:
-        payload, code, svg_polygon, digest_src = handler(args)
-    except (ParseError, InputError, PreconditionError) as exc:
-        print(f"eszk {args.command}: {exc}", file=sys.stderr)
-        return 2
+        payload, code, svg_polygon, digest_src = args.handler(args)
     except (CapabilityError, ExhaustionError) as exc:
         print(f"eszk {args.command}: {exc}", file=sys.stderr)
         return 3

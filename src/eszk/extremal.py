@@ -66,12 +66,14 @@ class Certificate:
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
         """Rebuild a record.  The bound is derived as n + 1, never read
-        from the record, and a record with k > n is rejected."""
+        from the record; a record with k outside 1..n, or whose
+        subgon_total is not the integer C(n, k), is rejected."""
         try:
             polygon = Polygon(tuple(v) for v in d["vertices"])
             k = d["k"]
             verified = d["verified"]
-            subgon_total = int(d["subgon_total"])
+            subgon_total = d["subgon_total"]
+            int(subgon_total)  # a non-numeric value fails here with int()'s message
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate record: {exc}") from exc
         if type(k) is not int:
@@ -83,6 +85,14 @@ class Certificate:
         n = len(polygon)
         if k > n:
             raise InputError(f"malformed certificate record: k = {k} exceeds n = {n}")
+        if k < 1:
+            raise InputError(f"malformed certificate record: k = {k} is below 1")
+        total = math.comb(n, k)
+        if type(subgon_total) is not int or subgon_total != total:
+            raise InputError(
+                f"malformed certificate record: subgon_total = {subgon_total!r} "
+                f"is not C({n}, {k}) = {total}"
+            )
         return cls(
             polygon=polygon,
             k=k,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eszk
 from eszk import Polygon, is_convex, parse_polygon
 from eszk.cli import main, render_svg
 from eszk.store import add_certificate, load_certificates
@@ -216,6 +221,82 @@ def test_svg_output(capsys, seven_file, tmp_path):
     assert code == 1
     content = svg.read_text()
     assert content.startswith("<svg") and "stroke-dasharray" in content
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_format_before_or_after_command(capsys, square_file, before):
+    flag = ["--format", "text"]
+    argv = flag + ["classify", square_file] if before else ["classify", square_file] + flag
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.startswith("command: classify\n") and "strict: true" in out
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_svg_before_or_after_command(capsys, square_file, tmp_path, before):
+    svg = tmp_path / "sq.svg"
+    flag = ["--svg", str(svg)]
+    argv = flag + ["classify", square_file] if before else ["classify", square_file] + flag
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and report_of(out)["command"] == "classify"
+    assert svg.read_text().startswith("<svg")
+
+
+def test_global_flag_after_command_wins(capsys, square_file, tmp_path):
+    code, out, _ = run(capsys, ["--format", "text", "check", square_file, "--format", "json"])
+    assert code == 0 and report_of(out)["result"]["convex"] is True
+    early, late = tmp_path / "early.svg", tmp_path / "late.svg"
+    code, _, _ = run(capsys, ["--svg", str(early), "check", square_file, "--svg", str(late)])
+    assert code == 0 and late.exists() and not early.exists()
+
+
+def _alone(argv, cwd):
+    """Exit code, stdout and stderr of one call in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(eszk.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "eszk.cli", *argv], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=60)
+    return res.returncode, res.stdout, res.stderr
+
+
+def _untimed(result):
+    code, out, err = result
+    return code, [line for line in out.splitlines() if "timing_ms" not in line], err
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["--format", "text", "check", "{square}"], ["check", "{square}"]),
+        (["check", "{missing}"], ["check", "{square}"]),
+        (["check"], ["--format", "text", "check", "{square}"]),
+        (["--svg", "{svg}", "check", "{seven}"], ["check", "{seven}"]),
+    ],
+    ids=["format-then-default", "input-error-then-good", "usage-error-then-good",
+         "svg-then-none"],
+)
+def test_calls_in_sequence_match_calls_alone(capsys, tmp_path, square_file, seven_file,
+                                             first, second):
+    # the parser is built once per process; no call may leak into the next
+    names = {"square": square_file, "seven": seven_file,
+             "missing": str(tmp_path / "missing.txt"), "svg": str(tmp_path / "out.svg")}
+    first, second = ([a.format(**names) for a in argv] for argv in (first, second))
+    svg = tmp_path / "out.svg"
+    in_sequence = [_untimed(run(capsys, first))]
+    svg.unlink(missing_ok=True)
+    in_sequence.append(_untimed(run(capsys, second)))
+    assert not svg.exists()
+    assert in_sequence == [_untimed(_alone(argv, tmp_path)) for argv in (first, second)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["classify", "check", "pre-convex", "permutations", "count-subgons", "find-subgon",
+     "verify-cert", "bounds", "search", "grow"],
+)
+def test_subcommand_help_exits_zero(capsys, name):
+    assert main([name, "--help"]) == 0
+    assert f"usage: eszk {name}" in capsys.readouterr().out
 
 
 def test_svg_single_point(tmp_path):
