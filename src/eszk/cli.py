@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd("pre-convex", _cmd_pre_convex, "does some vertex order form a convex polygon; exit 0/1",
         k=False)
     cmd("permutations", _cmd_permutations, "census of convex vertex orders (n <= 8)", k=False)
-    cmd("count-subgons", _cmd_count_subgons, "count convex sub-k-gons by exhaustive enumeration")
+    cmd("count-subgons", _cmd_count_subgons, "count convex sub-k-gons by an exhaustive search")
     cmd("find-subgon", _cmd_find_subgon, "find one convex sub-k-gon; exit 0 found, 1 none")
     cmd("verify-cert", _cmd_verify_cert,
         "exhaustively verify a no-convex-sub-k-gon certificate; exit 0/1", store=True)

@@ -71,21 +71,33 @@ def load_certificates(path: str | None = None) -> list[Certificate]:
     return certs
 
 
+def _dedupe_key(record):
+    return record["k"], [list(v) for v in record["vertices"]]
+
+
 def add_certificate(cert: Certificate, path: str | None = None) -> bool:
     """Append a certificate, creating and seeding the store when missing.
 
     Returns True when the record is new, False when an identical
-    (k, vertices) record is already present.
+    (k, vertices) record is already present.  Only the (k, vertices) key
+    of each stored record is read, not the whole record; a record that
+    has no such key raises InputError naming the store and its position,
+    certificates[i].
     """
     path = resolve_store_path(path)
     created = not os.path.exists(path)
     data = {"version": 1, "certificates": _seed_records()} if created else _read(path)
     record = cert.to_dict()
-    key = (record["k"], [list(v) for v in record["vertices"]])
-    added = all(
-        (existing["k"], [list(v) for v in existing["vertices"]]) != key
-        for existing in data["certificates"]
-    )
+    key = _dedupe_key(record)
+    added = True
+    for i, existing in enumerate(data["certificates"]):
+        try:
+            added &= _dedupe_key(existing) != key
+        except (KeyError, TypeError) as exc:
+            raise InputError(
+                f"store file {path}, certificates[{i}]: malformed certificate record "
+                f"(no k and vertices): {exc!r}"
+            ) from exc
     if added:
         data["certificates"].append(record)
     if added or created:

@@ -4,13 +4,21 @@ A sub-k-gon is the polygon formed by a strictly increasing k-tuple of
 vertex indices, order preserved.  For strict polygons a sub-k-gon is
 convex exactly when all its vertex triples share one orientation sign,
 so one sign table per polygon and one exhaustive DFS for monochromatic
-index sets serve every strict search and count.  Subset enumeration is
-left for the oracle-only and non-strict counts, and as the fallback
-after a search of the perturbed polygon misses.  Off the oracle-only
-route it builds one table of collinear triples per polygon (O(n^3) bit
-operations, from the same builder as the sign table) and reads each
-subset's strictness off it with mask ANDs, so a subset costs its
-O(k) sign scan, or the oracle when it is not strict.
+index sets serve every strict search and count.
+
+Non-strict polygons are searched by a second DFS over index prefixes,
+pruned by supporting lines: each edge of a convex polygon whose ends
+differ lies on the hull boundary, hence on a supporting line, so every
+vertex is weakly on one side of it.  One table per polygon (O(n^3)
+determinants) holds, for each index pair, the bitsets of the vertices
+weakly left and weakly right of its line, both full when the two
+points coincide.  A candidate costs O(k) mask operations, and each leaf
+its O(k) sign scan when no triple of it is collinear, the oracle
+otherwise, so the answers are exactly the oracle's.  The sorted-triple
+sign rule of the strict DFS would not be sound here: the doubly wound
+triangle a, b, c, a, b, c is convex although (a, c, b) has the other
+sign.  The oracle-only count, which certificates rest on, enumerates
+every k-subset.
 """
 
 from __future__ import annotations
@@ -153,46 +161,89 @@ def _monochromatic(table, n: int, k: int, budget):
             stack.append((p | q, p, q))
 
 
-def _check_subset_budget(n: int, k: int, budget) -> None:
-    total = math.comb(n, k)
-    if total > budget:
-        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
+def _side_table(vs):
+    # For each pair u < v, the bitsets L(u, v) and R(u, v) of the
+    # vertices w with orient(V_u, V_v, V_w) >= 0 and <= 0.  When
+    # V_u = V_v every orientation vanishes and both masks are full: a
+    # degenerate edge constrains nothing.  "Every vertex of a set m
+    # weakly on one side" reads the same for the edge u -> v and v -> u,
+    # so the pairs u < v serve both.
+    n = len(vs)
+    full = (1 << n) - 1
+    left = [[full] * n for _ in range(n)]
+    right = [[full] * n for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        (ux, uy), (vx, vy) = vs[u], vs[v]
+        dx, dy = vx - ux, vy - uy
+        pos = neg = 0
+        for w, (wx, wy) in enumerate(vs):
+            d = dx * (wy - uy) - (wx - ux) * dy
+            if d > 0:
+                pos |= 1 << w
+            elif d < 0:
+                neg |= 1 << w
+        left[u][v] = full ^ neg
+        right[u][v] = full ^ pos
+    return left, right
 
 
-def _collinear_pairs(vs):
-    # (bitset {a, b}, Z(a, b)) for each pair a < b with a nonempty
-    # Z(a, b): the vertices c > b with (a, b, c) collinear.  N-(a, b) of
-    # vs holds the signs <= 0, and mirroring the polygon flips every
-    # sign, so N+(a, b) of the mirror holds those < 0.
-    _, nonpos = _polygon_signs(vs)
-    neg, _ = _polygon_signs([(-x, y) for x, y in vs])
-    return [
-        ((1 << a) | (1 << b), nonpos[a][b] ^ neg[a][b])
-        for a, b in itertools.combinations(range(len(vs)), 2)
-        if nonpos[a][b] != neg[a][b]
-    ]
+def _convex_subsets(vs, k: int, budget):
+    # The k-subsets whose sub-k-gon is convex, in lexicographic order, by
+    # a DFS over index prefixes c_0 < ... < c_t (see count_convex_subgons
+    # for why the pruning is sound).  An edge (a, b) of the prefix allows
+    # the side masks L(a, b), R(a, b) that hold every chosen vertex; a
+    # candidate must lie in an allowed side of every prefix edge, and the
+    # new edge (c_t, w) must have every chosen vertex on one weak side.
+    # The closing edge (w, c_0) is checked at the leaf.  A leaf whose
+    # subset has no collinear triple, read off L & R, is decided by the
+    # sign scan, complete there; any other by the oracle.
+    left, right = _side_table(vs)
 
+    def one_side(a, b, m):
+        return m & left[a][b] == m or m & right[a][b] == m
 
-def _convex_subsets(vs, k: int, oracle_only: bool):
-    # Lexicographic enumeration of the k-subsets whose sub-k-gon is
-    # convex.  With oracle_only the oracle decides each.  Otherwise a
-    # subset is strict unless it holds both ends of a collinear pair and
-    # a vertex of its Z, read with mask ANDs; a strict subset is decided
-    # by the sign scan, complete there, any other by the oracle.  That is
-    # the verdict of _is_convex_vertices, without re-deriving dimension
-    # and strictness per subset.
-    lines = None if oracle_only else _collinear_pairs(vs)
-    bits = [1 << i for i in range(len(vs))]
-    for idx in itertools.combinations(range(len(vs)), k):
-        sub = tuple(vs[i] for i in idx)
-        if lines is not None:
-            mask = sum(map(bits.__getitem__, idx))
-            if not any(mask & ab == ab and mask & z for ab, z in lines):
-                if _sign_mismatch(sub) is None:
-                    yield idx
+    chosen: list[int] = []
+    m = 0  # bitset of chosen
+    stack = [((1 << len(vs)) - 1, True)]  # (untried candidates, prefix strict)
+    visited = 0
+    while stack:
+        untried, strict = stack[-1]
+        t = len(chosen)
+        if t + untried.bit_count() < k:
+            stack.pop()
+            if chosen:
+                m ^= 1 << chosen.pop()
+            continue
+        low = untried & -untried
+        v = low.bit_length() - 1
+        rest = untried ^ low  # the untried candidates above v
+        stack[-1] = (rest, strict)
+        visited += 1
+        if visited > budget:
+            raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
+        ext = m | low
+        if chosen and not one_side(chosen[-1], v, ext):
+            continue
+        # no chosen pair (a, b) collinear with v: L & R of (a, v) meets
+        # the chosen set in a alone
+        strict = strict and all(left[a][v] & right[a][v] & m == 1 << a for a in chosen)
+        if t + 1 == k:
+            if chosen and not one_side(chosen[0], v, ext):
                 continue
-        if _oracle_verdict(sub).convex:
-            yield idx
+            idx = (*chosen, v)
+            sub = tuple(vs[i] for i in idx)
+            if _sign_mismatch(sub) is None if strict else _oracle_verdict(sub).convex:
+                yield idx
+            continue
+        cand = rest
+        path = chosen + [v]
+        for a, b in zip(path, path[1:]):
+            side_l, side_r = left[a][b], right[a][b]
+            cand &= (side_l if ext & side_l == ext else 0) | (side_r if ext & side_r == ext else 0)
+        if t + 1 + cand.bit_count() >= k:
+            chosen.append(v)
+            m = ext
+            stack.append((cand, strict))
 
 
 def find_totally_monochromatic(coloring: TripleColoring, m: int):
@@ -222,23 +273,39 @@ def count_convex_subgons(
 
     Returns (count, subsets) where subsets lists the convex index tuples
     in lexicographic order when include_subsets is set.  Strict polygons
-    count the leaves of the monochromatic DFS over their sign table;
-    other polygons test every k-subset, with the sign scan when the
-    collinear-triple table shows it strict and the oracle otherwise.
-    With oracle_only the definition-level test is applied to every
-    sub-polygon, bypassing the fast sign route; certificate verification
-    relies on that mode.
+    count the leaves of the monochromatic DFS over their sign table.
+    Other polygons run the supporting-line DFS: a prefix is extended
+    only while every edge between consecutive chosen vertices, and the
+    new one, has all chosen vertices weakly on one side of its line,
+    and the closing edge is checked at the leaf.  That pruning is
+    sound, as a convex subset of dimension <= 1 has every vertex on
+    both sides of every line through two of them, and on one of
+    dimension 2 each edge with distinct ends is a segment of the hull
+    boundary, which lies on one side of its line; a degenerate edge
+    (a repeated point) constrains nothing.  Leaves with no collinear
+    triple are decided by the sign scan, the others by the oracle.
+    C(n, k) <= budget bounds either DFS to C(n + 1, k) nodes; pruned
+    walks visit far fewer.  With oracle_only the definition-level test
+    is applied to every sub-polygon, bypassing both DFSs; certificate
+    verification relies on that mode.
     """
     n = len(P)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    _check_subset_budget(n, k, budget)
+    total = math.comb(n, k)
+    if total > budget:
+        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
     vs = P.vertices
-    if not oracle_only and classify(P).strict:
-        # C(n, k) <= budget bounds this walk to C(n+1, k) nodes
+    if oracle_only:
+        hits = (
+            idx
+            for idx in itertools.combinations(range(n), k)
+            if _oracle_verdict(tuple(vs[i] for i in idx)).convex
+        )
+    elif classify(P).strict:
         hits = (s for s, _ in _monochromatic(_polygon_signs(vs), n, k, math.inf))
     else:
-        hits = _convex_subsets(vs, k, oracle_only)
+        hits = _convex_subsets(vs, k, math.inf)
     if not include_subsets:
         return sum(1 for _ in hits), None
     subsets = list(hits)
@@ -252,10 +319,13 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     the lexicographically least convex subset, from the exhaustive
     monochromatic DFS over the sign table (capped at budget nodes); its
     None is final.  Non-strict polygons are perturbed into strict
-    position and searched there by the same DFS; a hit is re-verified on
-    the original polygon, with enumeration of all C(n, k) <= budget
-    subsets as the fallback, so the perturbation is an accelerator,
-    never an authority.
+    position and searched there by the same DFS, and a hit is
+    re-verified on the original polygon.  When that fails (no hit, a hit
+    that is not convex on the original, or coordinates past 10^5, which
+    the perturbation cannot scale) the answer is the first leaf of the
+    exact supporting-line DFS of count_convex_subgons, also capped at
+    budget nodes, so the perturbation is an accelerator, never an
+    authority.
     """
     n = len(P)
     if not 1 <= k <= n:
@@ -283,6 +353,5 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     if hit is not None and _is_convex_vertices(tuple(vs[i] for i in hit)).convex:
         return hit
 
-    # ground-truth fallback: lexicographic enumeration with early exit
-    _check_subset_budget(n, k, budget)
-    return next(_convex_subsets(vs, k, False), None)
+    # ground truth: the first convex subset of the exact DFS
+    return next(_convex_subsets(vs, k, budget), None)

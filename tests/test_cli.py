@@ -121,6 +121,16 @@ def test_verify_cert_failure(capsys, square_file, tmp_path):
     assert not store.exists()  # nothing to record
 
 
+def test_verify_cert_rejects_store_record_without_k(capsys, seven_file, tmp_path):
+    store = tmp_path / "store.json"
+    record = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
+    del record["k"]
+    store.write_text(json.dumps({"version": 1, "certificates": [record]}))
+    code, out, err = run(capsys, ["verify-cert", seven_file, "-k", "4", "--store", str(store)])
+    assert code == 2 and out == ""
+    assert f"store file {store}, certificates[0]: " in err
+
+
 def test_check_strictly_convex_1000_gon(capsys, tmp_path):
     path = tmp_path / "p1000.txt"
     path.write_text("".join(f"{v.x} {v.y}\n" for v in parabola_polygon(1000)))
@@ -319,6 +329,14 @@ def test_capability_exit_3(capsys, tmp_path):
     path = tmp_path / "many.txt"
     # strict 30-gon on a parabola; C(30, 15) is far over the budget
     path.write_text("".join(f"{i} {i * i}\n" for i in range(30)))
+    code, _, err = run(capsys, ["count-subgons", str(path), "-k", "15"])
+    assert code == 3 and "budget" in err
+
+
+def test_non_strict_count_capability_exit_3(capsys, tmp_path):
+    # the same 30-gon with its last vertex a copy of the first
+    path = tmp_path / "many.txt"
+    path.write_text("".join(f"{i} {i * i}\n" for i in range(29)) + "0 0\n")
     code, _, err = run(capsys, ["count-subgons", str(path), "-k", "15"])
     assert code == 3 and "budget" in err
 

@@ -86,6 +86,32 @@ def test_malformed_record_error_gives_position(tmp_path, field, value, reason):
     assert reason in message
 
 
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], "verified": True}, "KeyError('k')"),
+        ({"k": 4}, "KeyError('vertices')"),
+        ([4, [[0, 0]]], "TypeError"),
+        ("record", "TypeError"),
+        ({"k": 4, "vertices": 7}, "TypeError"),
+    ],
+    ids=["no-k", "no-vertices", "list", "string", "int-vertices"],
+)
+def test_add_rejects_malformed_record_with_position(tmp_path, seven_gon, bad, reason):
+    # the dedupe scan reads each record's (k, vertices) key; a record
+    # without one is a corrupt store, not a crash, and the file is kept
+    good = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
+    store = tmp_path / "s.json"
+    text = json.dumps({"version": 1, "certificates": [good, bad]})
+    store.write_text(text)
+    with pytest.raises(InputError) as info:
+        add_certificate(verify_certificate(Polygon(seven_gon.vertices[:5]), 4), str(store))
+    message = str(info.value)
+    assert f"store file {store}, certificates[1]: " in message
+    assert reason in message
+    assert store.read_text() == text
+
+
 def test_crash_mid_write_keeps_previous_store(tmp_path, monkeypatch, seven_gon):
     store = str(tmp_path / "s.json")
     add_certificate(verify_certificate(Polygon(seven_gon.vertices[:5]), 4), store)

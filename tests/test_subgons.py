@@ -1,6 +1,9 @@
 import itertools
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eszk import (
     BAD,
@@ -20,10 +23,43 @@ from eszk import (
     sub_polygon,
     triple_coloring,
 )
+import eszk.subgons
 from eszk.subgons import _convex_subsets
-from conftest import random_convex_polygon, random_polygon, random_strict_polygon
+from conftest import det, random_convex_polygon, random_polygon, random_strict_polygon
 
 HEXAGON = [(0, 0), (4, -1), (7, 2), (6, 6), (2, 7), (-2, 3)]
+
+# Non-strict polygons for the supporting-line DFS.  The doubly wound
+# triangle and the back-and-forth hexagon are oracle-convex although
+# some of their sorted index triples have opposite signs; the traced-back
+# triangle has every edge on a supporting line but leaves a hull edge
+# uncovered, so only the oracle rejects it.
+NON_STRICT = {
+    "two-duplicates": [(0, 0), (3, 0), (3, 0), (2, 2), (0, 3), (0, 3), (-1, 1)],
+    "point-three-times": [(1, 1), (0, 0), (1, 1), (3, 0), (1, 1), (2, 3), (-1, 2)],
+    "doubly-wound-triangle": [(0, 0), (2, 0), (0, 2)] * 2,
+    "back-and-forth-hexagon": [(0, 0), (2, 0), (1, 0), (3, 0), (3, 3), (0, 3)],
+    "traced-back-triangle": [(0, 0), (2, 0), (0, 2), (2, 0), (1, 3)],
+    "all-collinear": [(3 * i, 2 * i) for i in (0, 3, 1, 2, -1, 4, 1)],
+    "all-equal": [(2, -1)] * 6,
+}
+
+
+def oracle_subsets(P, k):
+    """The convex sub-k-gons of P by plain oracle enumeration."""
+    return [
+        idx
+        for idx in itertools.combinations(range(len(P)), k)
+        if oracle_test(sub_polygon(P, idx)).convex
+    ]
+
+
+def assert_dfs_matches_oracle(P):
+    for k in range(1, len(P) + 1):
+        convex = oracle_subsets(P, k)
+        assert count_convex_subgons(P, k, include_subsets=True) == (len(convex), convex)
+        first = next(_convex_subsets(P.vertices, k, math.inf), None)
+        assert first == (convex[0] if convex else None)
 
 
 class TestSubPolygon:
@@ -245,9 +281,8 @@ def test_sign_routes_match_oracle_brute_force(rng):
 
 
 def test_non_strict_enumeration_matches_oracle(rng):
-    # differential: subset strictness read off the collinear-triple
-    # table, then the sign scan or the oracle, against plain oracle
-    # enumeration, for the non-strict count and the fallback of find
+    # differential: the supporting-line DFS behind the non-strict count
+    # and the fallback of find, against plain oracle enumeration
     for trial in range(40):
         n = rng.randint(4, 10)
         pts = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)]
@@ -258,15 +293,122 @@ def test_non_strict_enumeration_matches_oracle(rng):
             pts[c] = (2 * pts[b][0] - pts[a][0], 2 * pts[b][1] - pts[a][1])  # on line ab
         P = Polygon(pts)
         assert not classify(P).strict
-        for k in range(1, n + 1):
-            convex = [
-                idx
-                for idx in itertools.combinations(range(n), k)
-                if oracle_test(sub_polygon(P, idx)).convex
-            ]
-            assert count_convex_subgons(P, k, include_subsets=True) == (len(convex), convex)
-            first = next(_convex_subsets(P.vertices, k, False), None)
-            assert first == (convex[0] if convex else None)
+        assert_dfs_matches_oracle(P)
+
+
+@pytest.mark.parametrize("name", list(NON_STRICT))
+def test_non_strict_cases_match_oracle(name):
+    P = Polygon(NON_STRICT[name])
+    assert not classify(P).strict
+    assert_dfs_matches_oracle(P)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=9))
+def test_supporting_line_dfs_matches_oracle(pts):
+    assert_dfs_matches_oracle(Polygon(pts))
+
+
+def test_oracle_sees_only_supported_subsets(monkeypatch, rng):
+    # every subset the DFS sends to the oracle has each edge, the closing
+    # edge included, on a supporting line of its own vertices
+    seen = []
+    oracle = eszk.subgons._oracle_verdict
+
+    def spy(sub):
+        seen.append(sub)
+        return oracle(sub)
+
+    monkeypatch.setattr(eszk.subgons, "_oracle_verdict", spy)
+    for trial in range(30):
+        n = rng.randint(5, 9)
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+        pts[rng.randrange(n)] = pts[rng.randrange(n)]
+        for k in range(4, n + 1):
+            count_convex_subgons(Polygon(pts), k)
+    assert seen
+    for sub in seen:
+        for i, a in enumerate(sub):
+            b = sub[i - 1]
+            signs = {det(b, a, c) > 0 for c in sub if det(b, a, c) != 0}
+            assert len(signs) <= 1, (sub, b, a)
+
+
+# Non-strict 12-gon with no convex sub-6-gon.  Its coordinates are past
+# 10^5, so the perturbed first hit cannot scale them and find goes
+# straight to the DFS, which visits 191 nodes; C(12, 6) = 924.
+FAR_NONE_12 = [(x * 10**4 + 7, y * 10**4 - 3) for x, y in [
+    (-18, 44), (-5, 38), (44, 33), (-19, -49), (9, 49), (-19, 33), (-44, -30), (-36, -3),
+    (10, -19), (-2, 19), (-37, 23), (-19, -49)]]
+
+
+def test_non_strict_none_needs_no_enumeration_budget():
+    P = Polygon(FAR_NONE_12)
+    assert not classify(P).strict
+    assert count_convex_subgons(P, 6, oracle_only=True)[0] == 0
+    assert find_convex_subgon(P, 6, budget=700) is None
+    with pytest.raises(CapabilityError):
+        find_convex_subgon(P, 6, budget=100)
+
+
+def test_non_strict_count_keeps_subset_budget():
+    P = Polygon(FAR_NONE_12)
+    assert count_convex_subgons(P, 6, budget=924) == (0, None)
+    with pytest.raises(CapabilityError):
+        count_convex_subgons(P, 6, budget=923)
+
+
+def golden_polygons():
+    # 24 seeded non-strict polygons, n 5..10: a planted duplicate or a
+    # point on the line of two others, coordinates within 3, 9 or 10^6
+    rng = random.Random(20261018)
+    for trial in range(24):
+        n = rng.randint(5, 10)
+        box = (3, 9, 10**6)[trial % 3]
+        pts = [(rng.randint(-box, box), rng.randint(-box, box)) for _ in range(n)]
+        a, b, c = rng.sample(range(n), 3)
+        if trial % 2:
+            pts[c] = pts[a]
+        else:
+            pts[c] = (2 * pts[b][0] - pts[a][0], 2 * pts[b][1] - pts[a][1])
+        yield Polygon(pts)
+
+
+# find_convex_subgon(P, k) for k = 4..n on golden_polygons(), recorded
+# before the supporting-line DFS replaced the subset enumeration.  7 of
+# the 107 answers are not the lexicographically least convex subset:
+# they are the perturbed polygon's first hit.
+FIND_GOLDEN = [
+    [(1, 2, 3, 4), (0, 1, 2, 3, 4), None],
+    [(0, 1, 2, 7), (0, 2, 3, 5, 7), None, None, None, None],
+    [(0, 1, 3, 5), None, None],
+    [(0, 1, 2, 3), (0, 1, 2, 3, 8), None, None, None, None],
+    [(0, 1, 2, 4), None, None, None, None, None, None],
+    [(0, 1, 2, 5), (0, 2, 6, 7, 8), None, None, None, None],
+    [(1, 2, 3, 5), None, None],
+    [(0, 1, 3, 6), (0, 1, 3, 6, 7), None, None, None],
+    [(0, 2, 3, 5), (0, 2, 3, 6, 7), None, None, None],
+    [(0, 1, 3, 4), None, None],
+    [(0, 3, 4, 5), None, None],
+    [(0, 2, 3, 4), (0, 2, 3, 4, 5), None],
+    [(0, 1, 2, 5), (0, 1, 6, 7, 8), None, None, None, None, None],
+    [(0, 1, 3, 5), (1, 4, 6, 8, 9), (0, 2, 3, 5, 6, 7), None, None, None, None],
+    [(0, 1, 3, 4), (0, 2, 7, 8, 9), None, None, None, None, None],
+    [(0, 2, 3, 4), (1, 2, 5, 6, 8), (1, 3, 4, 5, 6, 8), None, None, None],
+    [(0, 2, 4, 5), None, None],
+    [(0, 2, 3, 4), None, None],
+    [(0, 1, 2, 5), None, None, None],
+    [(0, 1, 2, 4), (0, 1, 2, 4, 5), (0, 1, 2, 3, 4, 5)],
+    [(0, 2, 3, 6), None, None, None, None, None],
+    [(0, 1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5), None],
+    [(0, 1, 3, 4), None],
+    [(0, 2, 3, 4), None],
+]
+
+
+def test_non_strict_find_golden():
+    got = [[find_convex_subgon(P, k) for k in range(4, len(P) + 1)] for P in golden_polygons()]
+    assert got == FIND_GOLDEN
 
 
 def test_hereditary_property(rng):
