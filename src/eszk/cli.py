@@ -175,6 +175,17 @@ def render_svg(P: Polygon, size: int = 800, margin: int = 20) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_svg(path: str, P: Polygon | None) -> None:
+    if P is None:
+        print("eszk: --svg ignored, this command has no polygon to draw", file=sys.stderr)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_svg(P))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2))
@@ -265,13 +276,15 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         payload, code, svg_polygon, digest_src = args.handler(args)
+        elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
+        if args.svg:
+            _write_svg(args.svg, svg_polygon)
     except (CapabilityError, ExhaustionError) as exc:
         print(f"eszk {args.command}: {exc}", file=sys.stderr)
         return 3
     except EszkError as exc:
         print(f"eszk {args.command}: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
 
     report = {
         "command": args.command,
@@ -280,13 +293,6 @@ def main(argv=None) -> int:
         "timing_ms": elapsed_ms,
     }
     _emit(report, args.format)
-
-    if args.svg:
-        if svg_polygon is None:
-            print("eszk: --svg ignored, this command has no polygon to draw", file=sys.stderr)
-        else:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(render_svg(svg_polygon))
     return code
 
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapabilityError, PreconditionError
-from .geometry import Polygon, _det, _dimension, _is_strict, classify, convex_hull
+from .geometry import Polygon, _det, _dimension, _hull, _is_strict, classify
 
 # Factorial enumeration cap for the permutation-based operations.
 PERMUTATION_LIMIT = 8
@@ -133,7 +133,7 @@ def _oracle_verdict(vs) -> ConvexityVerdict:
         # touches both endpoints, so it covers the whole hull.
         return ConvexityVerdict(True, METHOD_ORACLE)
 
-    hull, _ = convex_hull(vs)
+    hull, _ = _hull(vs)
     h = len(hull)
 
     # (a) Every polygon edge must lie inside a single hull edge segment.
@@ -271,7 +271,7 @@ def to_one_side(P: Polygon) -> ToOneSideWitness | None:
         # all vertices project equally onto a normal of the carrier line
         return ToOneSideWitness((normal,) * n)
 
-    hull, _ = convex_hull(vs)
+    hull, _ = _hull(vs)
     h = len(hull)
     normals = []
     for j in range(n):
@@ -309,7 +309,7 @@ def is_pre_convex(P: Polygon) -> bool:
     """
     rep = classify(P)
     if rep.strict:
-        _, extreme = convex_hull(P.vertices)
+        _, extreme = _hull(P.vertices)
         return set(P.vertices) == set(extreme)
     if rep.n > PERMUTATION_LIMIT:
         raise CapabilityError(

@@ -195,7 +195,13 @@ def convex_hull(points) -> tuple[list[Point], frozenset[Point]]:
     point) or a two-point cycle (collinear set: the two endpoints).
     Coincident input points are deduplicated before the scan.
     """
-    pts = sorted({as_point(p) for p in points})
+    return _hull(as_point(p) for p in points)
+
+
+def _hull(points) -> tuple[list[Point], frozenset[Point]]:
+    # convex_hull's monotone-chain scan on already validated Points, such
+    # as Polygon.vertices, which need no second coercion.
+    pts = sorted(set(points))
     if not pts:
         raise InputError("convex_hull needs at least one point")
     if len(pts) == 1:

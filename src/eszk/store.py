@@ -4,12 +4,24 @@ The file is created on demand and seeded with the built-in 7-gon
 certificate, so a fresh store already backs the k = 4 lower bound of 8.
 The environment variable ESZK_STORE overrides the default path; an
 explicit path overrides both.
+
+The file is one JSON document with one certificate record per line.
+Each append rewrites it whole, through an fsynced temp file renamed into
+place; on POSIX, appends to stores in one directory are serialized by an
+exclusive flock on that directory.  An I/O failure raises InputError
+naming the store.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: writers are not serialized
+    fcntl = None
 
 from .errors import InputError
 from .extremal import Certificate, SEVEN_GON_CERTIFICATE, verify_certificate
@@ -30,29 +42,59 @@ def _seed_records() -> list[dict]:
 
 
 def _read(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"store file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"store file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
         raise InputError(f"store file {path} has no certificate list")
     return data
 
 
+def _encode(data: dict) -> str:
+    # Every other top-level key, then the certificate list last with one
+    # record per line; json.dumps without indent runs the C encoder.
+    rest = {key: value for key, value in data.items() if key != "certificates"}
+    head = json.dumps({**rest, "certificates": []})[:-2]  # ends '"certificates": ['
+    records = ",\n".join(map(json.dumps, data["certificates"]))
+    return f"{head}\n{records}\n]}}\n"
+
+
 def _write(path: str, data: dict) -> None:
-    # Write a sibling temp file and rename it over the store, so a crash
-    # mid-write leaves the previous store intact.
+    # Write a sibling temp file in one call, fsync it and rename it over
+    # the store, so a crash mid-write leaves the previous store intact.
+    text = _encode(data)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def _writers_serialized(path: str):
+    # Hold an exclusive flock on the store's directory: a lock on the
+    # directory itself leaves no lock file beside the store.
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
 
 
 def load_certificates(path: str | None = None) -> list[Certificate]:
@@ -82,24 +124,29 @@ def add_certificate(cert: Certificate, path: str | None = None) -> bool:
     (k, vertices) record is already present.  Only the (k, vertices) key
     of each stored record is read, not the whole record; a record that
     has no such key raises InputError naming the store and its position,
-    certificates[i].
+    certificates[i].  Appends are serialized on POSIX (see the module
+    docstring), and an I/O failure raises InputError.
     """
     path = resolve_store_path(path)
-    created = not os.path.exists(path)
-    data = {"version": 1, "certificates": _seed_records()} if created else _read(path)
     record = cert.to_dict()
     key = _dedupe_key(record)
-    added = True
-    for i, existing in enumerate(data["certificates"]):
-        try:
-            added &= _dedupe_key(existing) != key
-        except (KeyError, TypeError) as exc:
-            raise InputError(
-                f"store file {path}, certificates[{i}]: malformed certificate record "
-                f"(no k and vertices): {exc!r}"
-            ) from exc
-    if added:
-        data["certificates"].append(record)
-    if added or created:
-        _write(path, data)
+    try:
+        with _writers_serialized(path):
+            created = not os.path.exists(path)
+            data = {"version": 1, "certificates": _seed_records()} if created else _read(path)
+            added = True
+            for i, existing in enumerate(data["certificates"]):
+                try:
+                    added &= _dedupe_key(existing) != key
+                except (KeyError, TypeError) as exc:
+                    raise InputError(
+                        f"store file {path}, certificates[{i}]: malformed certificate record "
+                        f"(no k and vertices): {exc!r}"
+                    ) from exc
+            if added:
+                data["certificates"].append(record)
+            if added or created:
+                _write(path, data)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     return added

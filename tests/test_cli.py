@@ -179,6 +179,31 @@ def test_bounds_reports_position_of_malformed_record(capsys, tmp_path):
     assert f"store file {store}, certificates[0]: " in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-cert", "{seven}", "-k", "4", "--store", "{tmp}/none/x.json"],
+         "cannot write {tmp}/none/x.json: No such file or directory"),
+        (["verify-cert", "{seven}", "-k", "4", "--store", "{tmp}"], "cannot read {tmp}: "),
+        (["bounds", "-k", "4", "--store", "{tmp}"], "cannot read {tmp}: "),
+        (["bounds", "-k", "4", "--store", "{tmp}/latin1.json"], "cannot read {tmp}/latin1.json: "),
+        (["classify", "{seven}", "--svg", "{tmp}/none/a.svg"],
+         "cannot write {tmp}/none/a.svg: No such file or directory"),
+    ],
+    ids=["store-in-missing-dir", "verify-store-is-dir", "bounds-store-is-dir",
+         "store-not-utf8", "svg-in-missing-dir"],
+)
+def test_store_and_svg_io_errors_exit_2(capsys, tmp_path, seven_file, argv, message):
+    # exit 1 means "not verified", so an I/O failure must not crash with it
+    (tmp_path / "latin1.json").write_bytes('{"certificates": ["\xe9"]}'.encode("latin-1"))
+    names = {"seven": seven_file, "tmp": str(tmp_path)}
+    code, out, err = run(capsys, [a.format(**names) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert message.format(**names) in err
+    assert "Traceback" not in err
+
+
 def test_search_cli_small(capsys, tmp_path):
     argv = [
         "search", "-n", "5", "-k", "4", "--seed", "1",

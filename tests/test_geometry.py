@@ -141,6 +141,14 @@ def test_convex_hull_degenerate():
     assert cycle == [Point(0, 0), Point(3, 0)]
 
 
+@pytest.mark.parametrize("pts", [[Point(1.5, 2), (0, 0)], [(True, 0)], [], [(1, 2, 3)]],
+                         ids=["float-point", "bool", "empty", "triple"])
+def test_convex_hull_validates_its_points(pts):
+    # the public hull coerces every point; only the private scan trusts them
+    with pytest.raises(InputError):
+        convex_hull(pts)
+
+
 def test_convex_hull_ccw(unit_square):
     cycle, _ = convex_hull(unit_square.vertices)
     n = len(cycle)

@@ -1,4 +1,7 @@
+import errno
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -112,20 +115,128 @@ def test_add_rejects_malformed_record_with_position(tmp_path, seven_gon, bad, re
     assert store.read_text() == text
 
 
-def test_crash_mid_write_keeps_previous_store(tmp_path, monkeypatch, seven_gon):
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_crash_mid_write_keeps_previous_store(tmp_path, monkeypatch, seven_gon, step):
+    # the crash comes after the temp file holds bytes: at its fsync, or at
+    # the rename over the store
     store = str(tmp_path / "s.json")
     add_certificate(verify_certificate(Polygon(seven_gon.vertices[:5]), 4), store)
     before = load_certificates(store)
+    written = []
 
-    def crashing_dump(obj, fh, **kwargs):
-        fh.write(json.dumps(obj, **kwargs)[:40])
-        raise OSError("disk full")
+    def crash(*args):
+        written.extend(p.stat().st_size for p in tmp_path.glob("s.json.*.tmp"))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(eszk.store.json, "dump", crashing_dump)
-    with pytest.raises(OSError):
+    monkeypatch.setattr(eszk.store.os, step, crash)
+    with pytest.raises(InputError, match=f"cannot write {store}: {os.strerror(errno.ENOSPC)}"):
         add_certificate(verify_certificate(Polygon(seven_gon.vertices[:6]), 4), store)
     monkeypatch.undo()
+    assert written and written[0] > 0
     assert load_certificates(store) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+def _stored_dict(certs):
+    # the document the writer must produce for these appends
+    seed = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
+    return {"version": 1, "certificates": [seed] + [c.to_dict() for c in certs]}
+
+
+def test_store_is_one_record_per_line(tmp_path, seven_gon):
+    store = tmp_path / "s.json"
+    certs = [verify_certificate(Polygon(seven_gon.vertices[:5]), 4),
+             verify_certificate(Polygon(seven_gon.vertices[:6]), 4),
+             verify_certificate(seven_gon, 5)]
+    for cert in certs:
+        assert add_certificate(cert, str(store))
+    expected = _stored_dict(certs)
+    lines = store.read_text().splitlines()
+    assert len(lines) == len(expected["certificates"]) + 2
+    assert lines[0] == '{"version": 1, "certificates": ['
+    assert lines[-1] == "]}"
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == expected["certificates"]
+    assert json.loads(store.read_text()) == expected
+
+
+# A store as the indent=2 writer left it, with a top-level key of its own.
+INDENTED_STORE = """\
+{
+  "version": 1,
+  "note": "kept",
+  "certificates": [
+    {
+      "k": 4,
+      "vertices": [
+        [
+          -13,
+          0
+        ],
+        [
+          15,
+          0
+        ],
+        [
+          0,
+          16
+        ],
+        [
+          18,
+          39
+        ],
+        [
+          27,
+          -15
+        ],
+        [
+          10,
+          20
+        ],
+        [
+          16,
+          30
+        ]
+      ],
+      "claimed_bound": 8,
+      "verified": true,
+      "subgon_total": 35
+    }
+  ]
+}
+"""
+
+
+def test_indented_store_loads_and_is_rewritten_on_append(tmp_path, seven_gon):
+    store = tmp_path / "s.json"
+    store.write_text(INDENTED_STORE)
+    assert load_certificates(str(store)) == [verify_certificate(SEVEN_GON_CERTIFICATE, 4)]
+    cert = verify_certificate(Polygon(seven_gon.vertices[:5]), 4)
+    assert add_certificate(cert, str(store))
+    expected = dict(_stored_dict([cert]), note="kept")
+    assert json.loads(store.read_text()) == expected
+    assert len(store.read_text().splitlines()) == len(expected["certificates"]) + 2
+
+
+def _append_translates(store, first):
+    certs = [verify_certificate(Polygon((x + i, y) for x, y in SEVEN_GON_CERTIFICATE.vertices), 4)
+             for i in range(first, first + 20)]
+    for cert in certs:
+        assert add_certificate(cert, store)
+
+
+@pytest.mark.skipif(eszk.store.fcntl is None, reason="writers are serialized on POSIX only")
+def test_concurrent_writers_lose_no_record(tmp_path):
+    store = str(tmp_path / "s.json")
+    ctx = multiprocessing.get_context("fork")
+    writers = [ctx.Process(target=_append_translates, args=(store, first)) for first in (1, 21)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join()
+    assert [w.exitcode for w in writers] == [0, 0]
+    certs = load_certificates(store)
+    assert len(certs) == 41
+    assert {c.polygon.vertices[0].x for c in certs} == set(range(-13, -13 + 41))
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
