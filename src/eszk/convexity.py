@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import CapabilityError, PreconditionError
 from .geometry import Polygon, _det, _dimension, _hull, _is_strict, classify
 
-# Factorial enumeration cap for the permutation-based operations.
+# Factorial enumeration cap for the permutation census.
 PERMUTATION_LIMIT = 8
 
 METHOD_SIGN_TEST = "sign_test"
@@ -108,10 +108,11 @@ def sign_test(P: Polygon) -> ConvexityVerdict:
     """
     vs = P.vertices
     verdict = _sign_verdict(vs) if len(vs) >= 4 else None
-    if verdict is None or not (verdict.convex or _is_strict(vs)):
+    strict = verdict is not None and verdict.convex or _is_strict(vs)
+    if verdict is None or not strict:
         raise PreconditionError(
             f"sign_test needs a strict polygon with n >= 4 "
-            f"(got n={len(vs)}, strict={_is_strict(vs)}); use oracle_test instead"
+            f"(got n={len(vs)}, strict={strict}); use oracle_test instead"
         )
     return verdict
 
@@ -302,28 +303,19 @@ def to_one_side(P: Polygon) -> ToOneSideWitness | None:
 def is_pre_convex(P: Polygon) -> bool:
     """Does some permutation of the vertex sequence form a convex polygon?
 
-    For strict polygons this is equivalent to the vertex set being
-    exactly the extreme points of its hull.  Non-strict polygons fall
-    back to exhaustive permutation search, which is honest but factorial,
-    so it is capped at n = 8.
+    Exactly when every vertex lies on the boundary of its hull, at a
+    corner or on a side.  A convex order's vertices lie on its edge
+    union, which is that boundary; conversely, the boundary points
+    walked counterclockwise, copies of a point kept adjacent, form a
+    convex order.  A one- or two-point hull cycle is a point or a
+    segment, so dimension <= 1 needs no special case, and on strict
+    input a vertex that is not a corner is interior.  O(n h) for h
+    hull corners.
     """
-    rep = classify(P)
-    if rep.strict:
-        _, extreme = _hull(P.vertices)
-        return set(P.vertices) == set(extreme)
-    if rep.n > PERMUTATION_LIMIT:
-        raise CapabilityError(
-            f"pre-convexity of a non-strict polygon is decided by exhaustive "
-            f"permutation search, capped at n = {PERMUTATION_LIMIT} (got n = {rep.n})"
-        )
     vs = P.vertices
-    # Convexity is invariant under cyclic shifts, so pin vertex 0 first;
-    # every order is non-strict too, so each goes to the oracle.
-    for rest in itertools.permutations(range(1, rep.n)):
-        ordered = (vs[0],) + tuple(vs[i] for i in rest)
-        if _oracle_verdict(ordered).convex:
-            return True
-    return False
+    hull, extreme = _hull(vs)
+    sides = list(zip(hull, hull[1:] + hull[:1]))
+    return all(v in extreme or any(_on_segment(p, q, v) for p, q in sides) for v in vs)
 
 
 def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:

@@ -340,11 +340,6 @@ def _run_restart(cfg: SearchConfig, index: int, record_trace: bool = False):
     return best_count, best_coords
 
 
-def _restart_task(args):
-    cfg, index = args
-    return _run_restart(cfg, index)
-
-
 def search_extremal(cfg: SearchConfig, workers: int = 1) -> SearchResult:
     """Annealing minimization of the convex sub-k-gon count over strict
     n-gons in the coordinate box.
@@ -366,8 +361,9 @@ def search_extremal(cfg: SearchConfig, workers: int = 1) -> SearchResult:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(
-                    _restart_task,
-                    ((cfg, r) for r in range(cfg.restarts)),
+                    _run_restart,
+                    itertools.repeat(cfg),
+                    range(cfg.restarts),
                     chunksize=max(1, cfg.restarts // (4 * workers)),
                 )
             )

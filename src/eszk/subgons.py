@@ -7,16 +7,27 @@ so one sign table per polygon and one exhaustive DFS for monochromatic
 index sets serve every strict search and count.
 
 Non-strict polygons are searched by a second DFS over index prefixes,
-pruned by supporting lines: each edge of a convex polygon whose ends
-differ lies on the hull boundary, hence on a supporting line, so every
-vertex is weakly on one side of it.  One table per polygon (O(n^3)
+pruned by supporting lines.  One table per polygon (O(n^3)
 determinants) holds, for each index pair, the bitsets of the vertices
-weakly left and weakly right of its line, both full when the two
-points coincide.  A candidate costs O(k) mask operations, and each leaf
-its O(k) sign scan when no triple of it is collinear, the oracle
-otherwise, so the answers are exactly the oracle's.  The sorted-triple
-sign rule of the strict DFS would not be sound here: the doubly wound
-triangle a, b, c, a, b, c is convex although (a, c, b) has the other
+weakly left and weakly right of its line, both full when the two points
+coincide; a candidate costs O(k) mask operations.  Every edge of a
+leaf, the closing edge included, has all its vertices weakly on one
+side.  That is necessary, as an edge of a convex polygon whose ends
+differ lies on the hull boundary, hence on a supporting line.  On
+pairwise distinct points it is also sufficient.  Dimension <= 1 is
+convex outright.  On dimension 2, with hull H: (1) each edge lies in
+the part of H on its supporting line, a side of H; (2) a maximal run of
+consecutive vertices on the line of a side starts and ends at its two
+corners, which are vertices, as an edge from a point inside the side to
+a point off its line would separate them, so the run covers the side;
+(3) no corner has both its edges on one side's line, or it would sit
+inside a run and appear twice.  So the runs go from corner to adjacent
+corner, each corner once: the edges trace the hull cycle.  A leaf that
+repeats a point goes to the oracle, which stays necessary there: the
+doubly wound triangle a, b, c, a, b, c is convex, while the
+traced-back triangle a, b, c, b passes the edge test and leaves the
+side ca uncovered.  The sorted-triple sign rule of the strict DFS is
+not sound here: in the doubly wound triangle (a, c, b) has the other
 sign.  The oracle-only count, which certificates rest on, enumerates
 every k-subset.
 """
@@ -28,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .convexity import _is_convex_vertices, _oracle_verdict, _sign_mismatch
+from .convexity import _is_convex_vertices, _oracle_verdict
 from .errors import CapabilityError, ExhaustionError, InputError, PreconditionError
 from .geometry import Polygon, classify, perturb_to_strict
 
@@ -189,25 +200,26 @@ def _side_table(vs):
 
 def _convex_subsets(vs, k: int, budget):
     # The k-subsets whose sub-k-gon is convex, in lexicographic order, by
-    # a DFS over index prefixes c_0 < ... < c_t (see count_convex_subgons
-    # for why the pruning is sound).  An edge (a, b) of the prefix allows
-    # the side masks L(a, b), R(a, b) that hold every chosen vertex; a
-    # candidate must lie in an allowed side of every prefix edge, and the
-    # new edge (c_t, w) must have every chosen vertex on one weak side.
-    # The closing edge (w, c_0) is checked at the leaf.  A leaf whose
-    # subset has no collinear triple, read off L & R, is decided by the
-    # sign scan, complete there; any other by the oracle.
+    # a DFS over index prefixes c_0 < ... < c_t.  An edge (a, b) of the
+    # prefix allows the side masks L(a, b), R(a, b) that hold every
+    # chosen vertex; a candidate must lie in an allowed side of every
+    # prefix edge, and the new edge (c_t, w) must have every chosen
+    # vertex on one weak side.  The closing edge (w, c_0) is checked at
+    # the leaf, and only a leaf that repeats a point needs the oracle
+    # (module docstring).
     left, right = _side_table(vs)
+    # same[v]: the indices u < v holding the point V_v
+    same = [sum(1 << u for u in range(v) if vs[u] == vs[v]) for v in range(len(vs))]
 
     def one_side(a, b, m):
         return m & left[a][b] == m or m & right[a][b] == m
 
     chosen: list[int] = []
     m = 0  # bitset of chosen
-    stack = [((1 << len(vs)) - 1, True)]  # (untried candidates, prefix strict)
+    stack = [((1 << len(vs)) - 1, 0)]  # (untried candidates, chosen repeats)
     visited = 0
     while stack:
-        untried, strict = stack[-1]
+        untried, repeats = stack[-1]
         t = len(chosen)
         if t + untried.bit_count() < k:
             stack.pop()
@@ -217,22 +229,19 @@ def _convex_subsets(vs, k: int, budget):
         low = untried & -untried
         v = low.bit_length() - 1
         rest = untried ^ low  # the untried candidates above v
-        stack[-1] = (rest, strict)
+        stack[-1] = (rest, repeats)
         visited += 1
         if visited > budget:
             raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
         ext = m | low
         if chosen and not one_side(chosen[-1], v, ext):
             continue
-        # no chosen pair (a, b) collinear with v: L & R of (a, v) meets
-        # the chosen set in a alone
-        strict = strict and all(left[a][v] & right[a][v] & m == 1 << a for a in chosen)
+        repeats |= same[v] & m
         if t + 1 == k:
             if chosen and not one_side(chosen[0], v, ext):
                 continue
             idx = (*chosen, v)
-            sub = tuple(vs[i] for i in idx)
-            if _sign_mismatch(sub) is None if strict else _oracle_verdict(sub).convex:
+            if not repeats or _oracle_verdict(tuple(vs[i] for i in idx)).convex:
                 yield idx
             continue
         cand = rest
@@ -243,7 +252,7 @@ def _convex_subsets(vs, k: int, budget):
         if t + 1 + cand.bit_count() >= k:
             chosen.append(v)
             m = ext
-            stack.append((cand, strict))
+            stack.append((cand, repeats))
 
 
 def find_totally_monochromatic(coloring: TripleColoring, m: int):
@@ -277,13 +286,12 @@ def count_convex_subgons(
     Other polygons run the supporting-line DFS: a prefix is extended
     only while every edge between consecutive chosen vertices, and the
     new one, has all chosen vertices weakly on one side of its line,
-    and the closing edge is checked at the leaf.  That pruning is
-    sound, as a convex subset of dimension <= 1 has every vertex on
-    both sides of every line through two of them, and on one of
-    dimension 2 each edge with distinct ends is a segment of the hull
-    boundary, which lies on one side of its line; a degenerate edge
-    (a repeated point) constrains nothing.  Leaves with no collinear
-    triple are decided by the sign scan, the others by the oracle.
+    and the closing edge is checked at the leaf.  That is necessary, as
+    a convex subset's edges with distinct ends lie on hull sides, and
+    on pairwise distinct points sufficient: the edges then lie on hull
+    sides, each run on a side's line goes corner to corner, and no
+    corner sits inside a run, so the edges trace the hull cycle (module
+    docstring).  A leaf that repeats a point is decided by the oracle.
     C(n, k) <= budget bounds either DFS to C(n + 1, k) nodes; pruned
     walks visit far fewer.  With oracle_only the definition-level test
     is applied to every sub-polygon, bypassing both DFSs; certificate
@@ -325,7 +333,9 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     the perturbation cannot scale) the answer is the first leaf of the
     exact supporting-line DFS of count_convex_subgons, also capped at
     budget nodes, so the perturbation is an accelerator, never an
-    authority.
+    authority.  Its leaves of pairwise distinct points are convex as
+    they stand (see count_convex_subgons); one that repeats a point is
+    decided by the oracle.
     """
     n = len(P)
     if not 1 <= k <= n:

@@ -51,6 +51,21 @@ class TestSignTest:
         with pytest.raises(PreconditionError):
             sign_test(Polygon([(0, 0), (1, 0), (0, 1)]))
 
+    def test_mismatch_checks_strictness_once(self, monkeypatch):
+        # the precondition check and its message share one O(n^2) pass
+        calls = []
+        is_strict = eszk.convexity._is_strict
+
+        def spy(vs):
+            calls.append(len(vs))
+            return is_strict(vs)
+
+        monkeypatch.setattr(eszk.convexity, "_is_strict", spy)
+        P = Polygon([(i, i * i) for i in range(300)] + [(150, 150 * 150)])
+        with pytest.raises(PreconditionError, match="strict=False"):
+            sign_test(P)
+        assert calls == [301]
+
     def test_convex_answer_skips_strictness(self, monkeypatch):
         # an all-agreeing scan proves strictness, so no O(n^2) check runs
         def fail(*args):
@@ -249,10 +264,15 @@ class TestPreConvex:
         # center of the square is interior whatever the order
         assert not is_pre_convex(Polygon([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]))
 
-    def test_capability_cap(self):
-        pts = [(i, 0) for i in range(9)]
-        with pytest.raises(CapabilityError):
-            is_pre_convex(Polygon(pts))
+    def test_answers_past_permutation_limit(self):
+        # non-strict input past n = 8 is decided by the hull boundary alone
+        assert is_pre_convex(Polygon([(i, 0) for i in (4, 0, 8, 2, 6, 1, 7, 3, 5)]))
+        rim = [(0, 0), (4, 4), (2, 0), (4, 0), (0, 2), (0, 4), (4, 2), (2, 4), (4, 0), (2, 0)]
+        # square corners, edge midpoints and two repeated points: n = 10
+        assert not classify(Polygon(rim)).strict
+        assert is_pre_convex(Polygon(rim))
+        # the center is interior whatever the order
+        assert not is_pre_convex(Polygon(rim + [(2, 2)]))
 
     def test_matches_census(self, rng):
         for _ in range(40):

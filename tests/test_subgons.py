@@ -309,9 +309,28 @@ def test_supporting_line_dfs_matches_oracle(pts):
     assert_dfs_matches_oracle(Polygon(pts))
 
 
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=9,
+                unique=True))
+def test_distinct_points_need_no_oracle(pts):
+    # a leaf of pairwise distinct points is convex once every edge is on
+    # a supporting line, so the DFS alone matches oracle enumeration
+    P = Polygon(pts)
+    expected = {k: oracle_subsets(P, k) for k in range(1, len(P) + 1)}
+
+    def fail(sub):
+        raise AssertionError(f"oracle called on distinct points {sub}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eszk.subgons, "_oracle_verdict", fail)
+        for k, convex in expected.items():
+            assert list(_convex_subsets(P.vertices, k, math.inf)) == convex
+
+
 def test_oracle_sees_only_supported_subsets(monkeypatch, rng):
-    # every subset the DFS sends to the oracle has each edge, the closing
-    # edge included, on a supporting line of its own vertices
+    # every subset the DFS sends to the oracle repeats a point and has
+    # each edge, the closing edge included, on a supporting line of its
+    # own vertices
     seen = []
     oracle = eszk.subgons._oracle_verdict
 
@@ -328,6 +347,7 @@ def test_oracle_sees_only_supported_subsets(monkeypatch, rng):
             count_convex_subgons(Polygon(pts), k)
     assert seen
     for sub in seen:
+        assert len(set(sub)) < len(sub), sub
         for i, a in enumerate(sub):
             b = sub[i - 1]
             signs = {det(b, a, c) > 0 for c in sub if det(b, a, c) != 0}
