@@ -62,38 +62,29 @@ def _sign_triples(n):
         yield (0, 1, k)
 
 
-def _sign_mismatch(vs):
-    # Scan the 3n-8 sign triples of vs, stopping at the first zero or
-    # sign change: None when every determinant is nonzero with one sign,
-    # else (triple, its sign, first triple, its sign), where a vanishing
-    # determinant has sign 0.  None is sound on any input (see is_convex;
-    # for n <= 3 there is at most the one triple (0, 1, 2)); a mismatch
-    # proves "not convex" only on strict input.
+def _sign_verdict(vs) -> ConvexityVerdict:
+    # Scan the 3n-8 sign triples of vs, stopping at the first vanishing
+    # determinant or sign change.  "Convex" when every determinant is
+    # nonzero with one sign, which is sound on any input (see is_convex;
+    # for n <= 3 there is at most the one triple (0, 1, 2)); "not convex"
+    # is proved only on strict input.
     ref = 0
     ref_triple = None
     for a, b, c in _sign_triples(len(vs)):
         d = _det(vs[a].x, vs[a].y, vs[b].x, vs[b].y, vs[c].x, vs[c].y)
-        s = (d > 0) - (d < 0)
+        if d == 0:
+            witness = f"vertex triple {(a, b, c)} is collinear"
+            return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
+        s = 1 if d > 0 else -1
         if ref == 0:
             ref, ref_triple = s, (a, b, c)
-        if s != ref or s == 0:
-            return (a, b, c), s, ref_triple, ref
-    return None
-
-
-def _sign_verdict(vs) -> ConvexityVerdict:
-    miss = _sign_mismatch(vs)
-    if miss is None:
-        return ConvexityVerdict(True, METHOD_SIGN_TEST)
-    triple, s, ref_triple, ref = miss
-    if s == 0:
-        witness = f"vertex triple {triple} is collinear"
-    else:
-        witness = (
-            f"vertex triple {triple} has orientation {s} "
-            f"but triple {ref_triple} has orientation {ref}"
-        )
-    return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
+        elif s != ref:
+            witness = (
+                f"vertex triple {(a, b, c)} has orientation {s} "
+                f"but triple {ref_triple} has orientation {ref}"
+            )
+            return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
+    return ConvexityVerdict(True, METHOD_SIGN_TEST)
 
 
 def sign_test(P: Polygon) -> ConvexityVerdict:

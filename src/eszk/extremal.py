@@ -255,7 +255,7 @@ class _SubgonCounter:
     def __init__(self, coords, k: int):
         n = len(coords)
         self.coords = list(coords)
-        pos, _ = _polygon_signs(self.coords)
+        pos = _polygon_signs(self.coords)
         self.sign = 0
         self.fan = [[] for _ in range(n)]
         self.through = [0] * n
@@ -303,8 +303,8 @@ class _SubgonCounter:
         self.count += delta
 
 
-def _run_restart(cfg: SearchConfig, index: int, record_trace: bool = False):
-    """One annealing restart; returns (objective, coords[, trace])."""
+def _run_restart(cfg: SearchConfig, index: int):
+    """One annealing restart; returns (objective, coords)."""
     rng = random.Random(_derived_seed(cfg.seed, index))
     if cfg.initial is not None:
         coords = [(v.x, v.y) for v in cfg.initial.vertices]
@@ -313,7 +313,6 @@ def _run_restart(cfg: SearchConfig, index: int, record_trace: bool = False):
     counter = _SubgonCounter(coords, cfg.k)
     best_count = counter.count
     best_coords = list(counter.coords)
-    trace = [best_count]
     temperature = cfg.t0
     for _ in range(cfg.max_iterations):
         if best_count == 0:
@@ -333,10 +332,6 @@ def _run_restart(cfg: SearchConfig, index: int, record_trace: bool = False):
                         best_count = counter.count
                         best_coords = list(counter.coords)
         temperature *= cfg.decay
-        if record_trace:
-            trace.append(best_count)
-    if record_trace:
-        return best_count, best_coords, trace
     return best_count, best_coords
 
 

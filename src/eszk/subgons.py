@@ -4,7 +4,10 @@ A sub-k-gon is the polygon formed by a strictly increasing k-tuple of
 vertex indices, order preserved.  For strict polygons a sub-k-gon is
 convex exactly when all its vertex triples share one orientation sign,
 so one sign table per polygon and one exhaustive DFS for monochromatic
-index sets serve every strict search and count.
+index sets serve every strict search and count.  The table holds one
+bitset per index pair (a, b), the vertices c > b with (a, b, c) turning
+left; the DFS derives the right-turning ones as the complement among the
+vertices above b, since no determinant vanishes on strict input.
 
 Non-strict polygons are searched by a second DFS over index prefixes,
 pruned by supporting lines.  One table per polygon (O(n^3)
@@ -95,7 +98,7 @@ def triple_coloring(P: Polygon) -> TripleColoring:
     rep = classify(P)
     if not rep.strict:
         raise PreconditionError("triple_coloring needs a strict polygon")
-    pos, _ = _polygon_signs(P.vertices)
+    pos = _polygon_signs(P.vertices)
     colors = {
         (a, b, c): GOOD if pos[a][b] >> c & 1 else BAD
         for a, b, c in itertools.combinations(range(rep.n), 3)
@@ -103,40 +106,33 @@ def triple_coloring(P: Polygon) -> TripleColoring:
     return TripleColoring(n=rep.n, colors=colors)
 
 
-def _sign_table(n: int, row):
-    # For each pair a < b, the bitsets N+(a, b) and N-(a, b) of the
-    # vertices c > b whose triple (a, b, c) has positive and negative
-    # sign.  row(a, b) gives N+(a, b); the table only serves strict
-    # inputs, where N-(a, b) is every other vertex above b.
-    pos = [[0] * n for _ in range(n)]
-    neg = [[0] * n for _ in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
-        pos[a][b] = p = row(a, b)
-        neg[a][b] = ((1 << n) - (2 << b)) ^ p
-    return pos, neg
-
-
 def _polygon_signs(vs):
-    def row(a, b):
+    # For each pair a < b, the bitset N+(a, b) of the vertices c > b
+    # whose triple (a, b, c) turns left.  On the strict inputs this
+    # serves, N-(a, b) is every other vertex above b, so _monochromatic
+    # derives it instead of storing it.
+    n = len(vs)
+    pos = [[0] * n for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
         (ax, ay), (bx, by) = vs[a], vs[b]
         dx, dy = bx - ax, by - ay
         p = 0
-        for c in range(b + 1, len(vs)):
+        for c in range(b + 1, n):
             cx, cy = vs[c]
             if dx * (cy - ay) > (cx - ax) * dy:
                 p |= 1 << c
-        return p
+        pos[a][b] = p
+    return pos
 
-    return _sign_table(len(vs), row)
 
-
-def _monochromatic(table, n: int, k: int, budget):
-    # Yield (subset, GOOD or BAD) for every k-subset whose index triples
-    # share one sign, in lexicographic order.  A frame keeps one mask per
-    # sign of the vertices that extend the prefix in that sign; choosing v
-    # ANDs in N(a, v) for every chosen a, and a mask that cannot reach k
-    # is dropped.
-    pos_t, neg_t = table
+def _monochromatic(pos_t, n: int, k: int, budget):
+    # Yield every k-subset whose index triples share one sign, in
+    # lexicographic order.  A frame keeps one mask per sign of the
+    # vertices that extend the prefix in that sign; choosing v ANDs
+    # N+(a, v) into the positive mask for every chosen a and clears their
+    # union from the negative one, which holds only vertices above v, so
+    # that clearing is the AND with every N-(a, v).  A mask that cannot
+    # reach k is dropped.
     full = (1 << n) - 1
     chosen: list[int] = []
     stack = [(full, full, full)]  # (untried, positive mask, negative mask)
@@ -157,13 +153,16 @@ def _monochromatic(table, n: int, k: int, budget):
         if visited > budget:
             raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
         if t + 1 == k:
-            yield tuple(chosen) + (v,), (GOOD if pos & low else BAD)
+            yield (*chosen, v)
             continue
         p = pos & rest if pos & low else 0
         q = neg & rest if neg & low else 0
+        left = 0  # the union of N+(a, v) over the chosen a
         for a in chosen:
-            p &= pos_t[a][v]
-            q &= neg_t[a][v]
+            row = pos_t[a][v]
+            p &= row
+            left |= row
+        q &= ~left
         need = k - t - 1
         p = p if p.bit_count() >= need else 0
         q = q if q.bit_count() >= need else 0
@@ -265,10 +264,12 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
     if m > n:
         return None
     colors = coloring.colors
-    table = _sign_table(
-        n, lambda a, b: sum(1 << c for c in range(b + 1, n) if colors[(a, b, c)] == GOOD)
-    )
-    return next(_monochromatic(table, n, m, DEFAULT_BUDGET), None)
+    pos = [[0] * n for _ in range(n)]
+    for a, b, c in itertools.combinations(range(n), 3):
+        if colors[a, b, c] == GOOD:
+            pos[a][b] |= 1 << c
+    hit = next(_monochromatic(pos, n, m, DEFAULT_BUDGET), None)
+    return hit and (hit, GOOD if colors[hit[:3]] == GOOD else BAD)
 
 
 def count_convex_subgons(
@@ -311,7 +312,7 @@ def count_convex_subgons(
             if _oracle_verdict(tuple(vs[i] for i in idx)).convex
         )
     elif classify(P).strict:
-        hits = (s for s, _ in _monochromatic(_polygon_signs(vs), n, k, math.inf))
+        hits = _monochromatic(_polygon_signs(vs), n, k, math.inf)
     else:
         hits = _convex_subsets(vs, k, math.inf)
     if not include_subsets:
@@ -345,8 +346,7 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     vs = P.vertices
 
     def first_hit(Q):
-        found = next(_monochromatic(_polygon_signs(Q.vertices), n, k, budget), None)
-        return found and found[0]
+        return next(_monochromatic(_polygon_signs(Q.vertices), n, k, budget), None)
 
     if classify(P).strict:
         hit = first_hit(P)

@@ -90,6 +90,14 @@ def test_permutations(capsys, square_file):
     assert result["count"] == 8 and len(result["permutations"]) == 8
 
 
+def test_permutations_text_format_one_line(capsys, square_file):
+    code, out, _ = run(capsys, ["--format", "text", "permutations", square_file])
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("permutations: ")]
+    assert len(lines) == 1 and lines[0].startswith("permutations: [[0, 1, 2, 3], ")
+    assert "count: 8" in out.splitlines()
+
+
 def test_count_subgons(capsys, seven_file):
     code, out, _ = run(capsys, ["count-subgons", seven_file, "-k", "4"])
     assert code == 0
@@ -239,6 +247,13 @@ def test_grow_cli(capsys, tmp_path, seven_gon):
         assert code == 1 and result["grown"] is False
 
 
+def test_grow_cli_non_strict_base_exit_1(capsys, tmp_path):
+    path = tmp_path / "non_strict.txt"
+    path.write_text("0 0\n2 0\n1 0\n0 1\n")
+    code, out, _ = run(capsys, ["grow", str(path), "-k", "4", "--seed", "1"])
+    assert code == 1 and report_of(out)["result"]["grown"] is False
+
+
 def test_grow_cli_precondition_exit_2(capsys, square_file):
     code, _, err = run(capsys, ["grow", square_file, "-k", "4", "--seed", "1"])
     assert code == 2 and "certificate" in err
@@ -248,6 +263,15 @@ def test_text_format(capsys, square_file):
     code, out, _ = run(capsys, ["check", square_file, "--format", "text"])
     assert code == 0
     assert "command: check" in out and "convex: true" in out
+
+
+def test_svg_ignored_without_polygon(capsys, tmp_path):
+    svg = tmp_path / "b.svg"
+    store = tmp_path / "s.json"
+    code, out, err = run(capsys, ["--svg", str(svg), "bounds", "-k", "4", "--store", str(store)])
+    assert code == 0 and report_of(out)["result"]["lower"] == 8
+    assert "--svg ignored" in err
+    assert not svg.exists()
 
 
 def test_svg_output(capsys, seven_file, tmp_path):

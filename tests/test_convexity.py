@@ -201,6 +201,8 @@ class TestToOneSide:
 
     def test_degenerate_edge_interior_fails(self):
         assert to_one_side(Polygon([(0, 0), (4, 0), (1, 1), (1, 1), (0, 4)])) is None
+        # the degenerate edge first, so no mixed-side edge decides before it
+        assert to_one_side(Polygon([(1, 1), (1, 1), (0, 0), (4, 0), (0, 4)])) is None
 
     def test_dim_le_1(self):
         assert to_one_side(Polygon([(2, 2), (2, 2)])) is not None

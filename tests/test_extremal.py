@@ -175,11 +175,6 @@ class TestSearch:
         result = search_extremal(cfg, workers=2)
         assert result.objective == 0 and result.best == seven_gon
 
-    def test_best_trace_non_increasing(self):
-        cfg = SearchConfig(n=7, k=4, seed=2, restarts=1, max_iterations=600)
-        _, _, trace = _run_restart(cfg, 0, record_trace=True)
-        assert all(a >= b for a, b in zip(trace, trace[1:]))
-
     def test_counter_matches_recount_after_every_move(self, monkeypatch):
         cfg = SearchConfig(n=7, k=4, seed=2, restarts=1, max_iterations=600)
         commit = eszk.extremal._SubgonCounter.commit
@@ -191,7 +186,7 @@ class TestSearch:
             assert counter.count == count_convex_subgons(Polygon(counter.coords), cfg.k)[0]
 
         monkeypatch.setattr(eszk.extremal._SubgonCounter, "commit", checked_commit)
-        _run_restart(cfg, 0, record_trace=False)
+        _run_restart(cfg, 0)
         assert len(commits) > 100
 
     def test_workers_validation(self):
@@ -263,6 +258,13 @@ class TestGrow:
         if grown is not None:
             assert len(grown) == 6
             assert verify_certificate(grown, 4).verified
+
+    def test_non_strict_base_grows_nothing(self):
+        # a verified certificate, but no insertion into it can be strict
+        base = Polygon([(0, 0), (2, 0), (1, 0), (0, 1)])
+        assert verify_certificate(base, 4).verified
+        cfg = SearchConfig(n=5, k=4, seed=1, restarts=1, max_iterations=5)
+        assert grow(base, cfg) is None
 
     def test_grow_deterministic(self, seven_gon):
         base = sub_polygon(seven_gon, (0, 1, 2, 3, 4))

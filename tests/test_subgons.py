@@ -138,6 +138,12 @@ class TestFind:
     def test_small_k_prefix(self, seven_gon):
         assert find_convex_subgon(seven_gon, 2) == (0, 1)
 
+    def test_k_range(self, unit_square):
+        with pytest.raises(InputError):
+            find_convex_subgon(unit_square, 0)
+        with pytest.raises(InputError):
+            find_convex_subgon(unit_square, 5)
+
     def test_returns_lexicographically_least(self):
         P = Polygon(HEXAGON)
         assert find_convex_subgon(P, 4) == (0, 1, 2, 3)
@@ -231,6 +237,8 @@ class TestMonochromatic:
 
     def test_square_full_subset(self, unit_square):
         assert find_totally_monochromatic(triple_coloring(unit_square), 4) == ((0, 1, 2, 3), GOOD)
+        clockwise = Polygon(unit_square.vertices[::-1])
+        assert find_totally_monochromatic(triple_coloring(clockwise), 4) == ((0, 1, 2, 3), BAD)
 
     def test_seven_gon_has_none(self, seven_gon):
         assert find_totally_monochromatic(triple_coloring(seven_gon), 4) is None
