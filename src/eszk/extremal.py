@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .errors import InputError, PreconditionError
+from .errors import CapabilityError, InputError, PreconditionError
 from .convexity import _sign_triples
 from .geometry import COORD_BOUND, Polygon, _is_strict, _strict_through, classify
 from .subgons import DEFAULT_BUDGET, _polygon_signs, count_convex_subgons, find_convex_subgon
@@ -236,6 +236,39 @@ def _sample_strict(rng: random.Random, n: int, box: int):
     )
 
 
+# Cap on the estimated size of the annealing counter's tables, in bits
+# (2**30 bits = 128 MiB); see _check_counter_size.
+_COUNTER_BITS_LIMIT = 2**30
+
+
+def _check_counter_size(n: int, k: int):
+    # Fail before any restart starts when the counter's subset
+    # enumeration exceeds the budget or its tables the size cap: the
+    # slice table holds C(n, 3) * (3k - 8) masks of up to C(n, k) bits,
+    # and the fans hold 3 C(n, 3) triple bits of C(n, 3) / 2 bits on
+    # average.
+    total = math.comb(n, k)
+    if total > DEFAULT_BUDGET:
+        raise CapabilityError(
+            f"C({n},{k}) = {total} subsets exceed the annealing counter's budget {DEFAULT_BUDGET}"
+        )
+    triples = math.comb(n, 3)
+    bits = triples * (max(3 * k - 8, 0) * total + 3 * triples // 2)
+    if bits > _COUNTER_BITS_LIMIT:
+        raise CapabilityError(
+            f"the annealing counter's tables for n = {n}, k = {k} would take about "
+            f"{bits} bits, over the limit of {_COUNTER_BITS_LIMIT}"
+        )
+
+
+def _bitset(indices) -> int:
+    # The int with exactly the given bits set; indices ascend.
+    buf = bytearray(indices[-1] // 8 + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class _SubgonCounter:
     """Incremental count of convex sub-k-gons of a strict polygon.
 
@@ -243,13 +276,17 @@ class _SubgonCounter:
     combinations order) turns left, read off the subgons sign table.
     fan[v] lists (u, w, bit) for every triple through v, rotated so that
     (v, u, w) has the triple's orientation, and through[v] ORs those
-    bits.  Each k-subset is one mask m, the OR of the bits of its
-    sign-condition triples; it is convex exactly when sign & m is 0 or
-    m (for k <= 3, m is 0 or one bit, so every subset counts).  On a
-    strict polygon that is exactly when the sub-k-gon is convex, so the
-    count equals what count_convex_subgons reports; the caller passes a
-    strict polygon.  Moving v recomputes the bits of fan[v] and rescores
-    only masks[v], the subsets through v.
+    bits.  The count is bit-sliced over the k-subsets, numbered in
+    combinations order: slot j of _sign_triples(k) keeps one int T[j]
+    with bit s set when subset s's j-th triple turns left, and
+    slices[t] lists (j, mask of the subsets whose j-th triple is t).  A
+    subset is convex exactly when its sign-condition triples share one
+    sign, so the convex subsets are AND_j T[j] | AND_j ~T[j] (every
+    subset for k <= 3, which has at most one such triple).  On a strict
+    polygon that is exactly when the sub-k-gon is convex, so the count
+    equals what count_convex_subgons reports; the caller passes a
+    strict polygon.  Moving v recomputes the bits of fan[v] and XORs the
+    slices of each triple whose sign flips into a copy of T.
     """
 
     def __init__(self, coords, k: int):
@@ -259,26 +296,41 @@ class _SubgonCounter:
         self.sign = 0
         self.fan = [[] for _ in range(n)]
         self.through = [0] * n
-        bits = {}
+        index = {}
         for i, (a, b, c) in enumerate(itertools.combinations(range(n), 3)):
-            bits[a, b, c] = bit = 1 << i
+            index[a, b, c] = i
+            bit = 1 << i
             self.sign |= bit if pos[a][b] >> c & 1 else 0
             for v, u, w in ((a, b, c), (b, c, a), (c, a, b)):
                 self.fan[v].append((u, w, bit))
                 self.through[v] |= bit
-        self.masks = [[] for _ in range(n)]
-        self.count = 0
-        for s in itertools.combinations(range(n), k):
-            m = 0
-            for a, b, c in _sign_triples(k):
-                m |= bits[s[a], s[b], s[c]]
-            for v in s:
-                self.masks[v].append(m)
-            self.count += self.sign & m in (0, m)
+        slots = list(_sign_triples(k))
+        members = {}
+        for s, sub in enumerate(itertools.combinations(range(n), k)):
+            for j, (a, b, c) in enumerate(slots):
+                members.setdefault((index[sub[a], sub[b], sub[c]], j), []).append(s)
+        self.slices = [[] for _ in index]
+        for (t, j), subsets in members.items():
+            self.slices[t].append((j, _bitset(subsets)))
+        self.full = (1 << math.comb(n, k)) - 1
+        self.T = [0] * len(slots)
+        for t, slice_t in enumerate(self.slices):
+            if self.sign >> t & 1:
+                for j, m in slice_t:
+                    self.T[j] |= m
+        self.count = self._tally(self.T)
+
+    def _tally(self, T) -> int:
+        left = right = self.full
+        for x in T:
+            left &= x
+            right &= ~x
+        return (left | right).bit_count()
 
     def propose(self, v: int, point):
-        """Evaluate moving vertex v to point: (delta, new sign), or None
-        if that breaks strictness."""
+        """Evaluate moving vertex v to point: (delta, new sign, new T), or
+        None if that breaks strictness.  A move that flips no triple
+        returns delta 0 and the current sign and T themselves."""
         coords = self.coords
         px, py = point
         fresh = 0
@@ -291,16 +343,44 @@ class _SubgonCounter:
             elif d == 0:
                 return None
         old = self.sign
-        new = old & ~self.through[v] | fresh
-        delta = 0
-        for m in self.masks[v]:
-            delta += (new & m in (0, m)) - (old & m in (0, m))
-        return delta, new
+        flipped = (old ^ fresh) & self.through[v]
+        if not flipped:
+            return 0, old, self.T
+        T = self.T.copy()
+        slices = self.slices
+        rest = flipped
+        while rest:
+            low = rest & -rest
+            for j, m in slices[low.bit_length() - 1]:
+                T[j] ^= m
+            rest ^= low
+        return self._tally(T) - self.count, old ^ flipped, T
 
-    def commit(self, v: int, point, delta: int, sign: int):
+    def commit(self, v: int, point, delta: int, sign: int, T):
         self.coords[v] = tuple(point)
         self.sign = sign
+        self.T = T
         self.count += delta
+
+
+def _moves(rng: random.Random, n: int, radius: int):
+    """Endless (v, dx, dy) stream, draw for draw what rng.randrange(n),
+    rng.randint(-radius, radius), rng.randint(-radius, radius) return:
+    the stdlib's getrandbits rejection sampler, written out."""
+    getrandbits = rng.getrandbits
+    width = 2 * radius + 1
+    vbits, wbits = n.bit_length(), width.bit_length()
+    while True:
+        v = getrandbits(vbits)
+        while v >= n:
+            v = getrandbits(vbits)
+        dx = getrandbits(wbits)
+        while dx >= width:
+            dx = getrandbits(wbits)
+        dy = getrandbits(wbits)
+        while dy >= width:
+            dy = getrandbits(wbits)
+        yield v, dx - radius, dy - radius
 
 
 def _run_restart(cfg: SearchConfig, index: int):
@@ -313,25 +393,26 @@ def _run_restart(cfg: SearchConfig, index: int):
     counter = _SubgonCounter(coords, cfg.k)
     best_count = counter.count
     best_coords = list(counter.coords)
+    if best_count == 0:
+        return best_count, best_coords
+    box, decay, uniform, exp = cfg.box, cfg.decay, rng.random, math.exp
+    propose, commit, points = counter.propose, counter.commit, counter.coords
     temperature = cfg.t0
-    for _ in range(cfg.max_iterations):
-        if best_count == 0:
-            break
-        v = rng.randrange(cfg.n)
-        dx = rng.randint(-cfg.radius, cfg.radius)
-        dy = rng.randint(-cfg.radius, cfg.radius)
-        x, y = counter.coords[v]
+    for _, (v, dx, dy) in zip(range(cfg.max_iterations), _moves(rng, cfg.n, cfg.radius)):
+        x, y = points[v]
         p = (x + dx, y + dy)
-        if abs(p[0]) <= cfg.box and abs(p[1]) <= cfg.box:
-            outcome = counter.propose(v, p)
+        if -box <= p[0] <= box and -box <= p[1] <= box:
+            outcome = propose(v, p)
             if outcome is not None:
-                delta, sign = outcome
-                if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                    counter.commit(v, p, delta, sign)
+                delta = outcome[0]
+                if delta <= 0 or uniform() < exp(-delta / temperature):
+                    commit(v, p, *outcome)
                     if counter.count < best_count:
                         best_count = counter.count
-                        best_coords = list(counter.coords)
-        temperature *= cfg.decay
+                        best_coords = list(points)
+                        if best_count == 0:
+                            break
+        temperature *= decay
     return best_count, best_coords
 
 
@@ -350,6 +431,7 @@ def search_extremal(cfg: SearchConfig, workers: int = 1) -> SearchResult:
     """
     if workers < 1:
         raise InputError("workers must be >= 1")
+    _check_counter_size(cfg.n, cfg.k)
     if workers == 1:
         outcomes = [_run_restart(cfg, r) for r in range(cfg.restarts)]
     else:

@@ -257,17 +257,27 @@ def _convex_subsets(vs, k: int, budget):
 def find_totally_monochromatic(coloring: TripleColoring, m: int):
     """First (lexicographically) m-subset all of whose triples share one
     color, as (subset, GOOD or BAD), or None.  Runs the same bitset DFS
-    as the convex-subgon search, capped at DEFAULT_BUDGET nodes."""
+    as the convex-subgon search, capped at DEFAULT_BUDGET nodes.  The
+    coloring must give every increasing index triple of range(n), and
+    nothing else, the color GOOD or BAD; otherwise InputError."""
     if m < 3:
         raise InputError(f"m must be >= 3, got {m}")
     n = coloring.n
-    if m > n:
-        return None
+    if type(n) is not int or n < 0:
+        raise InputError(f"coloring n = {n!r} is not a non-negative integer")
     colors = coloring.colors
+    if len(colors) != math.comb(n, 3):
+        raise InputError(f"coloring has {len(colors)} triples; n = {n} has {math.comb(n, 3)}")
     pos = [[0] * n for _ in range(n)]
     for a, b, c in itertools.combinations(range(n), 3):
-        if colors[a, b, c] == GOOD:
+        color = colors.get((a, b, c))
+        if color == GOOD:
             pos[a][b] |= 1 << c
+        elif color != BAD:
+            problem = "lacks" if (a, b, c) not in colors else f"has the unknown color {color!r} for"
+            raise InputError(f"coloring {problem} triple {(a, b, c)}")
+    if m > n:
+        return None
     hit = next(_monochromatic(pos, n, m, DEFAULT_BUDGET), None)
     return hit and (hit, GOOD if colors[hit[:3]] == GOOD else BAD)
 

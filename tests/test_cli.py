@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -395,6 +396,14 @@ def test_permutations_capability_exit_3(capsys, tmp_path):
     path.write_text("".join(f"{i} {i * i}\n" for i in range(9)))
     code, _, _ = run(capsys, ["permutations", str(path)])
     assert code == 3
+
+
+def test_search_capability_exit_3(capsys):
+    # C(30, 10) is about 3e7 subsets: refused before any restart runs
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["search", "-n", "30", "-k", "10", "--seed", "1"])
+    assert code == 3 and "budget" in err and out == ""
+    assert time.perf_counter() - start < 1.0
 
 
 def test_help_exits_zero(capsys):

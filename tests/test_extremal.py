@@ -1,6 +1,10 @@
+import random
+import time
+
 import pytest
 
 from eszk import (
+    CapabilityError,
     Certificate,
     InputError,
     Polygon,
@@ -15,7 +19,7 @@ from eszk import (
     verify_certificate,
 )
 import eszk.extremal
-from eszk.extremal import _run_restart
+from eszk.extremal import _moves, _run_restart, _sample_strict, _SubgonCounter
 
 
 class TestBounds:
@@ -189,6 +193,20 @@ class TestSearch:
         _run_restart(cfg, 0)
         assert len(commits) > 100
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "n, k, what",
+        [(30, 10, "budget"), (24, 6, "tables"), (100, 1, "tables")],
+    )
+    def test_counter_size_refused_up_front(self, n, k, what, workers):
+        # C(30, 10) ~ 3e7 subsets; the n = 24, k = 6 slice table ~ 2.7e9
+        # bits; the n = 100 fans ~ 2.6e10 bits: all refused at once
+        cfg = SearchConfig(n=n, k=k, seed=1, restarts=1, max_iterations=1)
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=what):
+            search_extremal(cfg, workers=workers)
+        assert time.perf_counter() - start < 1.0
+
     def test_workers_validation(self):
         cfg = SearchConfig(n=5, k=4, seed=1, restarts=1, max_iterations=1)
         with pytest.raises(InputError):
@@ -209,6 +227,55 @@ class TestSearch:
             assert count_convex_subgons(result.best, 4, oracle_only=True)[0] == 0
         else:
             assert result.certificate is None
+
+
+
+@pytest.mark.parametrize(
+    "n, k", [(5, 1), (5, 2), (6, 3), (7, 4), (8, 5), (8, 8), (9, 6), (10, 5)]
+)
+def test_sliced_counter_matches_recount(n, k):
+    # random walk of single-vertex moves; after every committed move the
+    # sliced count equals an independent recount, and a move that flips
+    # no triple returns delta 0 with the counter's own T, untouched
+    rng = random.Random(1000 * n + k)
+    counter = _SubgonCounter(_sample_strict(rng, n, 30), k)
+    assert counter.count == count_convex_subgons(Polygon(counter.coords), k)[0]
+    assert len(counter.T) == max(3 * k - 8, 0)
+    committed = still = 0
+    while committed < 300:
+        v = rng.randrange(n)
+        x, y = counter.coords[v]
+        p = (x + rng.randint(-8, 8), y + rng.randint(-8, 8))
+        T = counter.T
+        before = list(T)
+        outcome = counter.propose(v, p)
+        assert counter.T is T and T == before
+        if outcome is None:
+            continue
+        delta, sign, new_T = outcome
+        if sign == counter.sign:
+            assert delta == 0 and new_T is T
+            still += 1
+        else:
+            assert new_T is not T
+        counter.commit(v, p, *outcome)
+        committed += 1
+        assert counter.count == count_convex_subgons(Polygon(counter.coords), k)[0]
+    assert still > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 601, 2**40 + 3])
+def test_move_draws_match_stdlib(seed):
+    # _moves writes out the stdlib's getrandbits rejection sampler; any
+    # change to it in a CPython release must fail here, not shift results
+    for n in (1, 2, 5, 7, 8, 13):
+        for radius in (1, 5, 40):
+            mine, ref = random.Random(seed), random.Random(seed)
+            draws = _moves(mine, n, radius)
+            for _ in range(300):
+                expected = (ref.randrange(n), ref.randint(-radius, radius), ref.randint(-radius, radius))
+                assert next(draws) == expected
+                assert mine.random() == ref.random()  # interleaved draws stay in step
 
 
 PENTAGON = Polygon([(0, 0), (10, 0), (14, 8), (5, 14), (-4, 8)])

@@ -12,6 +12,7 @@ from eszk import (
     InputError,
     Polygon,
     PreconditionError,
+    TripleColoring,
     classify,
     count_convex_subgons,
     find_convex_subgon,
@@ -249,6 +250,36 @@ class TestMonochromatic:
 
     def test_m_exceeds_n(self, unit_square):
         assert find_totally_monochromatic(triple_coloring(unit_square), 5) is None
+
+    @pytest.mark.parametrize("n", [-1, 2.0, "4", None])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(InputError, match="n = "):
+            find_totally_monochromatic(TripleColoring(n=n, colors={}), 3)
+
+    def test_rejects_missing_triple(self, unit_square):
+        with pytest.raises(InputError, match="has 0 triples"):
+            find_totally_monochromatic(TripleColoring(n=4, colors={}), 3)
+        colors = dict(triple_coloring(unit_square).colors)
+        del colors[1, 2, 3]
+        with pytest.raises(InputError, match="has 3 triples"):
+            find_totally_monochromatic(TripleColoring(n=4, colors=colors), 3)
+        colors[1, 3, 2] = GOOD  # the count is right, the key is not increasing
+        with pytest.raises(InputError, match=r"lacks triple \(1, 2, 3\)"):
+            find_totally_monochromatic(TripleColoring(n=4, colors=colors), 4)
+
+    def test_rejects_extra_triple(self, unit_square):
+        colors = dict(triple_coloring(unit_square).colors)
+        colors[0, 1, 4] = GOOD
+        with pytest.raises(InputError, match="has 5 triples"):
+            find_totally_monochromatic(TripleColoring(n=4, colors=colors), 3)
+
+    @pytest.mark.parametrize("color", ["red", None, 1, True])
+    def test_rejects_unknown_color(self, unit_square, color):
+        # a color other than GOOD or BAD used to be read as BAD
+        colors = dict(triple_coloring(unit_square).colors)
+        colors[0, 2, 3] = color
+        with pytest.raises(InputError, match=r"unknown color .* triple \(0, 2, 3\)"):
+            find_totally_monochromatic(TripleColoring(n=4, colors=colors), 4)
 
     def test_equivalence_with_count(self, rng):
         # monochromatic 4-subset exists iff some sub-4-gon is convex
