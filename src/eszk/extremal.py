@@ -346,15 +346,15 @@ class _SubgonCounter:
         flipped = (old ^ fresh) & self.through[v]
         if not flipped:
             return 0, old, self.T
+        new = old ^ flipped
         T = self.T.copy()
         slices = self.slices
-        rest = flipped
-        while rest:
-            low = rest & -rest
+        while flipped:
+            low = flipped & -flipped
             for j, m in slices[low.bit_length() - 1]:
                 T[j] ^= m
-            rest ^= low
-        return self._tally(T) - self.count, old ^ flipped, T
+            flipped ^= low
+        return self._tally(T) - self.count, new, T
 
     def commit(self, v: int, point, delta: int, sign: int, T):
         self.coords[v] = tuple(point)
