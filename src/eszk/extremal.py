@@ -236,29 +236,50 @@ def _sample_strict(rng: random.Random, n: int, box: int):
     )
 
 
-# Cap on the estimated size of the annealing counter's tables, in bits
-# (2**30 bits = 128 MiB); see _check_counter_size.
-_COUNTER_BITS_LIMIT = 2**30
+# Cap on the annealing counter's tables, in bits (2**32 bits = 512 MiB).
+# A build grows the process by about 1.2 to 1.3 bytes per table byte
+# (ru_maxrss deltas, Python 3.11): 29 MiB at n = 20, k = 6, 175 MiB at
+# n = 24, k = 6, 558 MiB at n = 27, k = 6 and 493 MiB at n = 32, k = 5.
+# Within the cap: k = 4 up to n = 44, k = 5 up to n = 32, k = 6 up to
+# n = 27, k = 7 up to n = 24.
+_COUNTER_BITS_LIMIT = 2**32
 
 
-def _check_counter_size(n: int, k: int):
-    # Fail before any restart starts when the counter's subset
-    # enumeration exceeds the budget or its tables the size cap: the
-    # slice table holds C(n, 3) * (3k - 8) masks of up to C(n, k) bits,
-    # and the fans hold 3 C(n, 3) triple bits of C(n, 3) / 2 bits on
-    # average.
-    total = math.comb(n, k)
-    if total > DEFAULT_BUDGET:
-        raise CapabilityError(
-            f"C({n},{k}) = {total} subsets exceed the annealing counter's budget {DEFAULT_BUDGET}"
-        )
+def _counter_bits(n: int, k: int) -> int:
+    """Total bit length of the ints in _SubgonCounter's tables for n
+    points and k, exactly; the sum stops early once it passes
+    _COUNTER_BITS_LIMIT.
+
+    The fans hold the bit of every triple three times, 3 (1 + 2 + ...
+    + C(n, 3)) bits.  slices[t] holds, for a slot (a, b, c), the mask of
+    the k-subsets with t = (x, y, z) at places a, b, c; its length is
+    one past the index of the last such subset in combinations order,
+    the one filling every other place as high as it can.  Write
+    x = a + p, y = b + q, z = c + r with 0 <= p <= q <= r <= n - k.  A
+    subset s_0 < ... < s_{k-1} has index C(n, k) - 1 - sum_i
+    C(n - 1 - s_i, k - i); in the last subset places up to a hold
+    s_i = p + i, places a+1 .. b hold q + i, places b+1 .. c hold r + i
+    and the rest contribute 0, so the sum splits into a part in p, in q
+    and in r.
+    """
     triples = math.comb(n, 3)
-    bits = triples * (max(3 * k - 8, 0) * total + 3 * triples // 2)
-    if bits > _COUNTER_BITS_LIMIT:
-        raise CapabilityError(
-            f"the annealing counter's tables for n = {n}, k = {k} would take about "
-            f"{bits} bits, over the limit of {_COUNTER_BITS_LIMIT}"
-        )
+    bits = 3 * triples * (triples + 1) // 2
+    total, m = math.comb(n, k), n - k
+
+    def run(lo, hi):
+        return [
+            sum(math.comb(n - 1 - p - i, k - i) for i in range(lo, hi + 1)) for p in range(m + 1)
+        ]
+
+    for a, b, c in _sign_triples(k):
+        if bits > _COUNTER_BITS_LIMIT:
+            break
+        X, Y = run(0, a), run(a + 1, b)
+        Z = list(itertools.accumulate(run(b + 1, c), initial=0))
+        for p in range(m + 1):
+            for q in range(p, m + 1):
+                bits += (m + 1 - q) * (total - X[p] - Y[q]) - (Z[m + 1] - Z[q])
+    return bits
 
 
 def _bitset(indices) -> int:
@@ -431,7 +452,12 @@ def search_extremal(cfg: SearchConfig, workers: int = 1) -> SearchResult:
     """
     if workers < 1:
         raise InputError("workers must be >= 1")
-    _check_counter_size(cfg.n, cfg.k)
+    if _counter_bits(cfg.n, cfg.k) > _COUNTER_BITS_LIMIT:
+        raise CapabilityError(
+            f"the annealing counter's tables for n = {cfg.n}, k = {cfg.k} would take more "
+            f"than {_COUNTER_BITS_LIMIT} bits: they hold masks over all "
+            f"C({cfg.n},{cfg.k}) = {math.comb(cfg.n, cfg.k)} subsets"
+        )
     if workers == 1:
         outcomes = [_run_restart(cfg, r) for r in range(cfg.restarts)]
     else:

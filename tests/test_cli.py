@@ -399,10 +399,11 @@ def test_permutations_capability_exit_3(capsys, tmp_path):
 
 
 def test_search_capability_exit_3(capsys):
-    # C(30, 10) is about 3e7 subsets: refused before any restart runs
+    # the counter's masks over C(30, 10) ~ 3e7 subsets are far past the
+    # size cap: refused before any restart runs
     start = time.perf_counter()
     code, out, err = run(capsys, ["search", "-n", "30", "-k", "10", "--seed", "1"])
-    assert code == 3 and "budget" in err and out == ""
+    assert code == 3 and "tables" in err and out == ""
     assert time.perf_counter() - start < 1.0
 
 

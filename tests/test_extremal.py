@@ -194,18 +194,31 @@ class TestSearch:
         assert len(commits) > 100
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "n, k, what",
-        [(30, 10, "budget"), (24, 6, "tables"), (100, 1, "tables")],
-    )
-    def test_counter_size_refused_up_front(self, n, k, what, workers):
-        # C(30, 10) ~ 3e7 subsets; the n = 24, k = 6 slice table ~ 2.7e9
-        # bits; the n = 100 fans ~ 2.6e10 bits: all refused at once
+    @pytest.mark.parametrize("n, k", [(30, 10), (28, 6), (33, 5), (100, 1)])
+    def test_counter_size_refused_up_front(self, n, k, workers):
+        # slice tables past 2**32 bits at k = 10, 6 and 5; at n = 100,
+        # k = 1 the triple fans alone take ~3.9e10 bits: refused at once
         cfg = SearchConfig(n=n, k=k, seed=1, restarts=1, max_iterations=1)
         start = time.perf_counter()
-        with pytest.raises(CapabilityError, match=what):
+        with pytest.raises(CapabilityError, match="tables"):
             search_extremal(cfg, workers=workers)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n, k", [(44, 4), (32, 5), (27, 6), (24, 7), (69, 1)])
+    def test_counter_size_admits(self, n, k):
+        # the largest n under the cap for each k; the tables are not built
+        assert eszk.extremal._counter_bits(n, k) <= eszk.extremal._COUNTER_BITS_LIMIT
+        assert eszk.extremal._counter_bits(n + 1, k) > eszk.extremal._COUNTER_BITS_LIMIT
+
+    @pytest.mark.parametrize(
+        "n, k", [(3, 1), (4, 4), (5, 2), (6, 3), (7, 4), (8, 5), (8, 8), (10, 5), (11, 9), (13, 4)]
+    )
+    def test_counter_bits_exact(self, n, k):
+        rng = random.Random(n * 100 + k)
+        counter = _SubgonCounter(_sample_strict(rng, n, 1000), k)
+        built = sum(m.bit_length() for slice_t in counter.slices for _, m in slice_t)
+        built += sum(bit.bit_length() for fan in counter.fan for _, _, bit in fan)
+        assert eszk.extremal._counter_bits(n, k) == built
 
     def test_workers_validation(self):
         cfg = SearchConfig(n=5, k=4, seed=1, restarts=1, max_iterations=1)
