@@ -119,6 +119,9 @@ def _on_segment(p, q, a) -> bool:
 
 
 def _oracle_verdict(vs) -> ConvexityVerdict:
+    # One walk over the edges matches each edge to the first hull side
+    # holding both its ends and records its span on that side; a side's
+    # coverage is then read from the spans matched to it (see oracle_test).
     n = len(vs)
     if _dimension(vs) <= 1:
         # Hull is a point or segment; the edge walk is connected and
@@ -126,53 +129,36 @@ def _oracle_verdict(vs) -> ConvexityVerdict:
         return ConvexityVerdict(True, METHOD_ORACLE)
 
     hull, _ = _hull(vs)
-    h = len(hull)
-
-    # (a) Every polygon edge must lie inside a single hull edge segment.
-    # A straight segment inside the boundary of a convex region sits on a
-    # supporting line, and on a strict hull the boundary piece of any
-    # supporting line is one edge (or one corner), so testing "both
-    # endpoints on one common hull edge" is exact -- an edge crossing a
-    # corner would continue strictly outside the hull and fail anyway.
+    sides = list(zip(hull, hull[1:] + hull[:1]))
+    spans = [[] for _ in sides]
     for i in range(n):
         a, b = vs[i], vs[(i + 1) % n]
-        if not any(
-            _on_segment(hull[t], hull[(t + 1) % h], a)
-            and _on_segment(hull[t], hull[(t + 1) % h], b)
-            for t in range(h)
-        ):
+        for (p, q), found in zip(sides, spans):
+            if _on_segment(p, q, a) and _on_segment(p, q, b):
+                # A point of side (p, q) sits at its exact integer inner
+                # product with q - p: 0 at p, |q - p|^2 at q.
+                dx, dy = q.x - p.x, q.y - p.y
+                sa = (a.x - p.x) * dx + (a.y - p.y) * dy
+                sb = (b.x - p.x) * dx + (b.y - p.y) * dy
+                found.append((sa, sb) if sa <= sb else (sb, sa))
+                break
+        else:
             return ConvexityVerdict(
                 False,
                 METHOD_ORACLE,
                 witness=f"edge {i} from {tuple(a)} to {tuple(b)} leaves the hull boundary",
             )
 
-    # (b) Every hull edge must be covered by the polygon edges lying on
-    # its line.  Points on the edge are parameterized by the exact
-    # integer inner product with the edge direction (0 .. |d|^2), so the
-    # 1-D interval union needs no division.
-    for t in range(h):
-        p, q = hull[t], hull[(t + 1) % h]
-        dx, dy = q.x - p.x, q.y - p.y
-        full = dx * dx + dy * dy
-        intervals = []
-        for i in range(n):
-            a, b = vs[i], vs[(i + 1) % n]
-            if (
-                _det(p.x, p.y, q.x, q.y, a.x, a.y) == 0
-                and _det(p.x, p.y, q.x, q.y, b.x, b.y) == 0
-            ):
-                sa = (a.x - p.x) * dx + (a.y - p.y) * dy
-                sb = (b.x - p.x) * dx + (b.y - p.y) * dy
-                intervals.append((sa, sb) if sa <= sb else (sb, sa))
-        intervals.sort()
+    # Sweep each side's spans up from p; a zero-length span never extends
+    # the covered prefix.
+    for (p, q), found in zip(sides, spans):
         covered = 0
-        for lo, hi in intervals:
+        for lo, hi in sorted(found):
             if lo > covered:
                 break
             if hi > covered:
                 covered = hi
-        if covered < full:
+        if covered < (q.x - p.x) ** 2 + (q.y - p.y) ** 2:
             return ConvexityVerdict(
                 False,
                 METHOD_ORACLE,
@@ -187,8 +173,18 @@ def oracle_test(P: Polygon) -> ConvexityVerdict:
 
     Decides with exact arithmetic whether the union of the edges equals
     the boundary of the convex hull of the vertices.  Polygons of
-    dimension <= 1 are convex outright; otherwise every edge must lie on
-    the hull boundary and every hull edge must be fully covered.
+    dimension <= 1 are convex outright.  Otherwise one walk matches each
+    edge to a hull side holding both its ends, and the first edge with
+    no such side is the witness.  Then each side, in hull order, must be
+    covered by the edges matched to it, or it is the witness.
+
+    The match is exact.  A segment on the boundary of a convex region
+    lies on a supporting line, and the hull keeps corners only, so that
+    line meets the boundary in one side or one corner.  Hence a segment
+    of positive length on the boundary lies in exactly one side, and
+    with both ends on a side a segment lies in it.  The only edges on a
+    side's line that are matched elsewhere are single points at a
+    corner, and a single point cannot close a gap in a side.
     """
     return _oracle_verdict(P.vertices)
 
@@ -322,18 +318,14 @@ def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:
             f"permutation census is factorial and capped at n = {PERMUTATION_LIMIT} (got n = {n})"
         )
     rep = classify(P)
-    vs = P.vertices
-    hits: list[tuple[int, ...]] = []
+    perms = itertools.permutations(range(n))
     if n <= 3 or rep.dimension <= 1:
         # every reordering keeps n <= 3 / dimension <= 1, hence convex
-        hits = list(itertools.permutations(range(n)))
-    elif rep.strict:
-        # strictness is permutation-invariant: classify once, sign-test each
-        for perm in itertools.permutations(range(n)):
-            if _sign_verdict(tuple(vs[i] for i in perm)).convex:
-                hits.append(perm)
+        hits = list(perms)
     else:
-        for perm in itertools.permutations(range(n)):
-            if _oracle_verdict(tuple(vs[i] for i in perm)).convex:
-                hits.append(perm)
+        # strictness is permutation-invariant: classify once, then decide
+        # each order by the sign test on strict input, the oracle otherwise
+        decide = _sign_verdict if rep.strict else _oracle_verdict
+        vs = P.vertices
+        hits = [perm for perm in perms if decide(tuple(vs[i] for i in perm)).convex]
     return len(hits), hits

@@ -458,6 +458,9 @@ def search_extremal(cfg: SearchConfig, workers: int = 1) -> SearchResult:
             f"than {_COUNTER_BITS_LIMIT} bits: they hold masks over all "
             f"C({cfg.n},{cfg.k}) = {math.comb(cfg.n, cfg.k)} subsets"
         )
+    # A pool forks all its workers at the first submit, so it gets no
+    # more of them than there are restarts.
+    workers = min(workers, cfg.restarts)
     if workers == 1:
         outcomes = [_run_restart(cfg, r) for r in range(cfg.restarts)]
     else:

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from eszk import (
     CapabilityError,
+    ConvexityVerdict,
     Polygon,
     PreconditionError,
     classify,
@@ -86,8 +87,9 @@ class TestOracle:
 
     def test_edge_through_interior(self):
         verdict = oracle_test(Polygon([(0, 0), (2, 0), (1, 0), (0, 1)]))
-        assert not verdict.convex
-        assert "(1, 0)" in verdict.witness and "(0, 1)" in verdict.witness
+        assert verdict == ConvexityVerdict(
+            False, "oracle", "edge 2 from (1, 0) to (0, 1) leaves the hull boundary"
+        )
 
     def test_square_both_orders(self):
         assert oracle_test(Polygon(SQUARE)).convex
@@ -96,7 +98,27 @@ class TestOracle:
     def test_uncovered_hull_edge(self):
         # edges trace two sides of a triangle, never the third
         verdict = oracle_test(Polygon([(0, 0), (2, 0), (0, 0), (0, 2)]))
-        assert not verdict.convex
+        assert verdict == ConvexityVerdict(
+            False, "oracle", "hull edge from (2, 0) to (0, 2) is not covered by polygon edges"
+        )
+
+    @pytest.mark.parametrize(
+        "pts, side",
+        [
+            # a triangle traced out and back along two of its sides
+            ([(0, 0), (2, 0), (0, 2), (2, 0)], "(0, 2) to (0, 0)"),
+            # the bottom side is covered only from (1, 0) to (2, 0); the
+            # zero-length edge at (1, 0) must not extend that coverage
+            (
+                [(1, 0), (1, 0), (2, 0), (2, 2), (0, 2), (0, 0), (0, 2), (2, 2), (2, 0)],
+                "(0, 0) to (2, 0)",
+            ),
+        ],
+    )
+    def test_repeated_point_leaves_a_side_uncovered(self, pts, side):
+        assert oracle_test(Polygon(pts)) == ConvexityVerdict(
+            False, "oracle", f"hull edge from {side} is not covered by polygon edges"
+        )
 
     def test_edge_spanning_full_hull_side_with_midpoint_vertex(self):
         # vertex interior to a hull edge, walk still covers the boundary

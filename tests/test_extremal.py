@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import time
 
@@ -169,6 +170,43 @@ class TestSearch:
         parallel = search_extremal(cfg, workers=3)
         assert serial.best == parallel.best
         assert serial.objective == parallel.objective
+
+    def test_pool_gets_no_more_workers_than_restarts(self, monkeypatch):
+        # a pool forks all its workers at the first submit; a fake pool
+        # records the size asked for and maps in this process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cfg = SearchConfig(n=6, k=4, seed=5, restarts=3, max_iterations=400)
+        serial = search_extremal(cfg, workers=1)
+        assert search_extremal(cfg, workers=64) == serial
+        assert search_extremal(cfg, workers=2) == serial
+        assert sizes == [3, 2]
+        # one restart runs in this process, with no pool at all
+        one = SearchConfig(n=6, k=4, seed=5, restarts=1, max_iterations=400)
+        assert search_extremal(one, workers=8) == search_extremal(one, workers=1)
+        assert sizes == [3, 2]
+
+    def test_inconsistent_objective_raises(self, monkeypatch):
+        # every tally one too many: the independent recount disagrees
+        tally = _SubgonCounter._tally
+        monkeypatch.setattr(_SubgonCounter, "_tally", lambda self, T: tally(self, T) + 1)
+        cfg = SearchConfig(n=6, k=4, seed=3, restarts=1, max_iterations=50)
+        with pytest.raises(RuntimeError, match="internal inconsistency"):
+            search_extremal(cfg)
 
     def test_parallel_with_initial_polygon(self, seven_gon):
         # configs cross process boundaries; polygons must survive pickling

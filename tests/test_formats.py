@@ -51,6 +51,8 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse_polygon('{"vertices": [[0,0],[1,2.5]]}')
     assert "vertices[1]" in str(info.value)
+    with pytest.raises(ParseError, match="byte 0"):
+        parse_polygon(b"\xff")
 
 
 def test_parse_bound_violation():

@@ -67,6 +67,16 @@ def test_polygon_validation():
     assert len(P) == 1 and P[0] == Point(3, 4)
 
 
+def test_polygon_is_an_immutable_value():
+    P = Polygon([(1, 2), (3, 4)])
+    with pytest.raises(AttributeError):
+        P.vertices = ()
+    Q = Polygon([(1, 2), (3, 4)])
+    assert P == Q and hash(P) == hash(Q)
+    assert (P == ((1, 2), (3, 4))) is False
+    assert eval(repr(P), {"Polygon": Polygon}) == P
+
+
 def test_polygon_encoding():
     P = Polygon([(1, 2), (3, 4)])
     assert P.encoding() == (1, 2, 3, 4)
@@ -211,6 +221,8 @@ def test_perturb_input_errors(unit_square):
         perturb_to_strict(unit_square, scale=0, jitter=0, seed=1)
     with pytest.raises(InputError):
         perturb_to_strict(unit_square, scale=4, jitter=2, seed=1)  # jitter >= scale/2
+    with pytest.raises(InputError):
+        perturb_to_strict(unit_square, 4, -1, 0)
     big = Polygon([(10**6, 0), (0, 10**6), (1, 1)])
     with pytest.raises(InputError):
         perturb_to_strict(big, scale=10**4, jitter=1, seed=1)

@@ -12,6 +12,7 @@ from eszk import (
     InputError,
     Polygon,
     PreconditionError,
+    SEVEN_GON_CERTIFICATE,
     TripleColoring,
     classify,
     count_convex_subgons,
@@ -75,7 +76,7 @@ class TestSubPolygon:
             [(-13, 0), (0, 16), (27, -15), (16, 30)]
         )
 
-    @pytest.mark.parametrize("bad", [(), (0, 0), (2, 1), (0, 9), (-1, 2)])
+    @pytest.mark.parametrize("bad", [(), (0, 0), (2, 1), (0, 9), (-1, 2), (0, 1.5)])
     def test_invalid_subsets(self, seven_gon, bad):
         with pytest.raises(InputError):
             sub_polygon(seven_gon, bad)
@@ -210,6 +211,12 @@ class TestFind:
         assert find_convex_subgon(P, 5, budget=700) is None
         with pytest.raises(CapabilityError):
             find_convex_subgon(P, 5, budget=100)
+
+    def test_non_convex_hit_raises(self, monkeypatch):
+        # a DFS hit that is not convex is an internal inconsistency
+        monkeypatch.setattr(eszk.subgons, "_monochromatic", lambda *args: iter([(0, 1, 2, 3)]))
+        with pytest.raises(RuntimeError, match="internal inconsistency"):
+            find_convex_subgon(SEVEN_GON_CERTIFICATE, 4)
 
 
 class TestColoring:
