@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapabilityError, PreconditionError
-from .geometry import Polygon, _det, _dimension, _hull, _is_strict, classify
+from .geometry import Polygon, _det, _dimension, _hull, _is_strict, _sign_scan, classify
 
 # Factorial enumeration cap for the permutation census.
 PERMUTATION_LIMIT = 8
@@ -51,40 +51,23 @@ class ToOneSideWitness:
     normals: tuple[tuple[int, int], ...]
 
 
-def _sign_triples(n):
-    # Index triples whose orientation signs must all agree on a strict
-    # convex n-gon (n >= 4); 3n-8 of them, short-circuit order.
-    for i in range(2, n - 1):
-        yield (i - 1, i, i + 1)
-    for j in range(1, n - 1):
-        yield (0, j, j + 1)
-    for k in range(3, n):
-        yield (0, 1, k)
-
-
 def _sign_verdict(vs) -> ConvexityVerdict:
-    # Scan the 3n-8 sign triples of vs, stopping at the first vanishing
-    # determinant or sign change.  "Convex" when every determinant is
-    # nonzero with one sign, which is sound on any input (see is_convex;
-    # for n <= 3 there is at most the one triple (0, 1, 2)); "not convex"
-    # is proved only on strict input.
-    ref = 0
-    ref_triple = None
-    for a, b, c in _sign_triples(len(vs)):
-        d = _det(vs[a].x, vs[a].y, vs[b].x, vs[b].y, vs[c].x, vs[c].y)
-        if d == 0:
-            witness = f"vertex triple {(a, b, c)} is collinear"
-            return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
-        s = 1 if d > 0 else -1
-        if ref == 0:
-            ref, ref_triple = s, (a, b, c)
-        elif s != ref:
-            witness = (
-                f"vertex triple {(a, b, c)} has orientation {s} "
-                f"but triple {ref_triple} has orientation {ref}"
-            )
-            return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
-    return ConvexityVerdict(True, METHOD_SIGN_TEST)
+    # The sign scan of vs as a verdict.  "Convex" when every determinant
+    # is nonzero with one sign, which is sound on any input (see
+    # is_convex; for n <= 3 there is at most the one triple (0, 1, 2));
+    # "not convex" is proved only on strict input.
+    fail = _sign_scan(vs)
+    if fail is None:
+        return ConvexityVerdict(True, METHOD_SIGN_TEST)
+    triple, s, ref_triple, ref = fail
+    if s == 0:
+        witness = f"vertex triple {triple} is collinear"
+    else:
+        witness = (
+            f"vertex triple {triple} has orientation {s} "
+            f"but triple {ref_triple} has orientation {ref}"
+        )
+    return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
 
 
 def sign_test(P: Polygon) -> ConvexityVerdict:

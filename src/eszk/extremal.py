@@ -17,8 +17,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import CapabilityError, InputError, PreconditionError
-from .convexity import _sign_triples
-from .geometry import COORD_BOUND, Polygon, _is_strict, _strict_through, classify
+from .geometry import COORD_BOUND, Polygon, _is_strict, _sign_triples, _strict_through, classify
 from .subgons import DEFAULT_BUDGET, _polygon_signs, count_convex_subgons, find_convex_subgon
 
 # 7 vertices with no convex sub-4-gon among all 35 index subsets

@@ -2,8 +2,10 @@
 
 Orientation determinant, polygon classification (strict / ordinary /
 dimension), strict convex hull, and randomized perturbation into strict
-position.  Everything in this module is integer arithmetic end to end;
-no floating point is used or produced.  Coordinates are capped at
+position.  Every answer rests on exact integer arithmetic; the one use
+of floating point is the slope filter of the strictness test, which can
+only say "strict" and hands every collision to an exact integer test,
+and no float is produced.  Coordinates are capped at
 COORD_BOUND so that the orientation determinant of any admissible triple
 fits in a double-width signed integer, which keeps the file formats
 portable to fixed-width implementations.
@@ -133,21 +135,68 @@ def _dimension(vs) -> int:
     return 1
 
 
+def _sign_triples(n):
+    # Index triples whose orientation signs must all agree on a strictly
+    # convex n-gon, in short-circuit order: 3n-8 of them for n >= 4, the
+    # one triple (0, 1, 2) for n = 3 and none below.
+    for i in range(2, n - 1):
+        yield (i - 1, i, i + 1)
+    for j in range(1, n - 1):
+        yield (0, j, j + 1)
+    for k in range(3, n):
+        yield (0, 1, k)
+
+
+def _sign_scan(vs):
+    """Scan the sign triples of vs to the first vanishing determinant or
+    sign change; O(n).
+
+    Returns None when every determinant is nonzero with one sign: then
+    vs, if n >= 3, is strictly convex, so strict (proof in
+    convexity.is_convex; for n = 3 the one triple is the whole claim).
+    Otherwise returns (triple, sign, ref_triple, ref) for the first
+    failing triple and its sign, 0 when collinear, with the first
+    triple scanned and its sign (None and 0 if the failing triple is
+    that first one).
+    """
+    ref = 0
+    ref_triple = None
+    for a, b, c in _sign_triples(len(vs)):
+        d = _det(vs[a].x, vs[a].y, vs[b].x, vs[b].y, vs[c].x, vs[c].y)
+        if d == 0:
+            return (a, b, c), 0, ref_triple, ref
+        s = 1 if d > 0 else -1
+        if ref == 0:
+            ref, ref_triple = s, (a, b, c)
+        elif s != ref:
+            return (a, b, c), s, ref_triple, ref
+    return None
+
+
 def _strict_through(p, others) -> bool:
     """No two of the points others are collinear with p, and none equals p.
 
-    Hashes the direction from p to each point, reduced by the gcd and
-    signed so that opposite directions coincide: a repeated key is a
-    line through p holding two of them, and a gcd of 0 a copy of p.
-    O(len(others)) expected time.
+    O(len(others)) expected time.  After ruling out a copy of p, the
+    slopes (y - py) / (x - px) from p, math.inf for a vertical
+    direction, go into one set: a set as long as others means no two
+    points share a line through p.  That filter can only say "strict".
+    Python's int / int division is correctly rounded, so equal rational
+    slopes give equal floats, and -0.0 and 0.0 compare and hash alike;
+    a collinear pair always collides.  The converse fails: two slopes
+    may round to one double.  So a collision is settled exactly: the
+    direction from p to each point is reduced by the gcd and signed so
+    that opposite directions coincide, and a repeated key is a line
+    through p holding two of the points.
     """
+    if p in others:
+        return False
     px, py = p
+    if len({(y - py) / (x - px) if x != px else math.inf for x, y in others}) == len(others):
+        return True
     seen = set()
     for x, y in others:
         dx, dy = x - px, y - py
         g = math.gcd(dx, dy)
-        if g == 0:
-            return False
         if dx < 0 or (dx == 0 and dy < 0):
             g = -g
         key = (dx // g, dy // g)
@@ -161,8 +210,10 @@ def _is_strict(vs) -> bool:
     """No three vertices (by index) collinear; O(n^2) expected time.
 
     A collinear triple a < b < c puts vs[b] and vs[c] on one line
-    through vs[a] (or on vs[a] itself), so one direction fan per anchor
-    a over the vertices after it finds every such triple.
+    through vs[a] (or on vs[a] itself), so one slope fan per anchor a
+    over the vertices after it finds every such triple.  Each fan is a
+    float filter confirmed exactly on a collision (_strict_through), so
+    "not strict" always rests on an exact integer test.
     """
     return all(_strict_through(vs[a], vs[a + 1:]) for a in range(len(vs) - 2))
 
@@ -170,11 +221,16 @@ def _is_strict(vs) -> bool:
 def classify(P: Polygon) -> ClassificationReport:
     """Report vertex count, strictness, ordinariness and dimension.
 
-    O(n) for the count, ordinariness and dimension; strictness of an
-    ordinary planar polygon costs O(n^2) expected time (_is_strict).
+    The O(n) sign scan of is_convex runs first.  When every determinant
+    is nonzero with one sign the polygon is strictly convex, so strict,
+    ordinary and planar, and the report costs O(n).  Otherwise
+    ordinariness and dimension cost O(n), and strictness of an ordinary
+    planar polygon O(n^2) expected time (_is_strict).
     """
     vs = P.vertices
     n = len(vs)
+    if n >= 3 and _sign_scan(vs) is None:
+        return ClassificationReport(n=n, strict=True, ordinary=True, dimension=2)
     ordinary = len(set(vs)) == n
     dimension = _dimension(vs)
     if n < 3:

@@ -6,6 +6,7 @@ measurements.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 import itertools
 import json
+import math
 import random
 import time
 
@@ -27,7 +28,7 @@ from eszk import (
     verify_certificate,
 )
 from eszk.cli import main
-from conftest import random_convex_polygon, random_strict_polygon
+from conftest import det, random_convex_polygon, random_strict_polygon
 
 SEVEN_JSON = '{"vertices": [[-13,0],[15,0],[0,16],[18,39],[27,-15],[10,20],[16,30]]}'
 
@@ -80,6 +81,98 @@ def test_criterion_3_differential_suite():
     assert mismatches == 0
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 3 PASS: {cases} cases, 0 mismatches, {elapsed:.1f} s")
+
+
+def _half_lattice(a, b):
+    # The points of segment [a, b] on the lattice, for a, b in doubled
+    # coordinates: the half-integer points of the undoubled segment.
+    g = math.gcd(b[0] - a[0], b[1] - a[1])
+    if g == 0:
+        return {a}
+    sx, sy = (b[0] - a[0]) // g, (b[1] - a[1]) // g
+    return {(a[0] + t * sx, a[1] + t * sy) for t in range(g + 1)}
+
+
+def _lattice_reference(P):
+    """Convexity by definition, compared on the half-integer lattice.
+
+    The hull boundary is the union of the segments between two vertices
+    with every vertex weakly on one side of their line (for dimension 2,
+    its sides; for dimension 1, all of it).  Edge union and boundary are
+    unions of segments with integer ends, so they differ only if one
+    leaves the other on an open piece of a segment: an edge through the
+    interior, whose midpoint is interior, or a gap in a side between two
+    integer points, whose midpoint is uncovered.  Both midpoints are
+    half-integer, so agreement at every half-integer point is equality.
+    """
+    vs = [(2 * x, 2 * y) for x, y in P.vertices]
+    n = len(vs)
+    if len(set(vs)) == 1:
+        return True
+    edges = set().union(*(_half_lattice(vs[i], vs[(i + 1) % n]) for i in range(n)))
+    boundary = set()
+    for a, b in itertools.combinations(sorted(set(vs)), 2):
+        dets = [det(a, b, c) for c in vs]
+        if all(d >= 0 for d in dets) or all(d <= 0 for d in dets):
+            boundary |= _half_lattice(a, b)
+    return edges == boundary
+
+
+def _boundary_walk_pool(rng, count):
+    """Small-grid polygons aimed at both halves of the oracle: walks back
+    and forth along a convex cycle (sides left uncovered, back-tracking,
+    double winding), the same with a repeated point planted anywhere
+    (chords), and plain random polygons."""
+    pool = []
+    while len(pool) < count:
+        style = rng.randrange(3)
+        if style == 2:
+            pool.append(Polygon((rng.randint(-3, 3), rng.randint(-3, 3))
+                                for _ in range(rng.randint(4, 8))))
+            continue
+        # a convex cycle, with the midpoint of a side inserted when it is
+        # a lattice point
+        cycle = list(random_convex_polygon(rng, rng.randint(3, 5), 4).vertices)
+        for i in range(len(cycle) - 1, -1, -1):
+            a, b = cycle[i], cycle[(i + 1) % len(cycle)]
+            if (a.x + b.x) % 2 == 0 and (a.y + b.y) % 2 == 0 and rng.random() < 0.5:
+                cycle.insert(i + 1, ((a.x + b.x) // 2, (a.y + b.y) // 2))
+        m = len(cycle)
+        pos, walk = 0, []
+        for _ in range(rng.randint(2, 7)):
+            walk.append(cycle[pos])
+            pos = (pos + rng.choice((1, 1, -1))) % m
+        step = rng.choice((1, -1))
+        while pos != 0:  # home one step at a time, so every edge is a side piece
+            walk.append(cycle[pos])
+            pos = (pos + step) % m
+        if style == 1:
+            walk.insert(rng.randrange(len(walk) + 1), rng.choice(walk))
+        pool.append(Polygon(walk))
+    return pool
+
+
+def test_criterion_3_oracle_matches_lattice_reference():
+    """2000 small-grid polygons with back-tracking walks and planted
+    repeats: oracle_test and is_convex agree with a brute-force reference
+    that compares edge union and hull boundary on the half-integer
+    lattice, and both of the oracle's checks decide some of them."""
+    rng = random.Random(20061)
+    pool = _boundary_walk_pool(rng, 2000)
+    start = time.perf_counter()
+    outcomes = {"convex": 0, "leaves the hull boundary": 0, "is not covered": 0}
+    for P in pool:
+        expected = _lattice_reference(P)
+        verdict = oracle_test(P)
+        assert verdict.convex == expected, (P, verdict)
+        assert is_convex(P).convex == expected, P
+        key = "convex" if verdict.convex else next(k for k in outcomes if k in verdict.witness)
+        outcomes[key] += 1
+    elapsed = time.perf_counter() - start
+    assert min(outcomes.values()) >= 200  # each outcome is exercised, not vacuous
+    assert elapsed < 60.0
+    print(f"\nACCEPTANCE 3 (oracle reference) PASS: {len(pool)} polygons, {outcomes}, "
+          f"{elapsed:.1f} s")
 
 
 def test_criterion_4_permutation_census():

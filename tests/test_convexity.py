@@ -15,6 +15,7 @@ from eszk import (
     to_one_side,
 )
 import eszk.convexity
+import eszk.geometry
 from conftest import (
     parabola_polygon,
     point_in_hull,
@@ -188,14 +189,15 @@ class TestDispatch:
 
 
 def test_strictly_convex_fast_path_costs_3n_minus_8_determinants(monkeypatch):
+    # the sign scan lives in geometry, next to the triple order it shares
     calls = []
-    det = eszk.convexity._det
+    det = eszk.geometry._det
 
     def counted(*args):
         calls.append(args)
         return det(*args)
 
-    monkeypatch.setattr(eszk.convexity, "_det", counted)
+    monkeypatch.setattr(eszk.geometry, "_det", counted)
     n = 1000
     verdict = is_convex(parabola_polygon(n))
     assert (verdict.convex, verdict.method) == (True, "sign_test")

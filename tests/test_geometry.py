@@ -15,13 +15,31 @@ from eszk import (
     perturb_to_strict,
     sign_test,
 )
-from eszk.geometry import _is_strict, _strict_through
-from conftest import det, extreme_points_brute, is_strict_brute, random_polygon
+import eszk.geometry
+from eszk.geometry import _is_strict, _sign_scan, _strict_through
+from conftest import det, extreme_points_brute, is_strict_brute, parabola_polygon, random_polygon
 
 coord = st.integers(-1000, 1000)
 point = st.tuples(coord, coord)
 # a 9 x 9 grid makes repeated points and collinear triples common
 grid_point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+wide_coord = st.integers(-COORD_BOUND, COORD_BOUND)
+
+
+@st.composite
+def float_collision_points(draw):
+    """An anchor on a diagonal y = x + c near the origin or the lower left
+    corner of the coordinate box, two points on one diagonal near the
+    upper right corner, then a few points anywhere in the box.  Seen from
+    the anchor, the two far points are collinear with it, or their slopes
+    differ by about 1e-18 and round to one double, so the exact fallback
+    of _strict_through answers either way."""
+    ax = draw(st.one_of(st.integers(-3, 3), st.integers(-COORD_BOUND + 1, -COORD_BOUND + 4)))
+    c = draw(st.integers(-1, 1))
+    far = draw(st.lists(st.integers(COORD_BOUND - 6, COORD_BOUND - 1),
+                        min_size=2, max_size=2, unique=True))
+    rest = draw(st.lists(st.tuples(wide_coord, wide_coord), max_size=6))
+    return [(ax, ax + draw(st.integers(-1, 1)))] + [(x, x + c) for x in far] + rest
 
 
 @pytest.mark.parametrize(
@@ -119,12 +137,35 @@ def test_classify_strict_implies_ordinary(pts, dup):
         assert rep.ordinary
 
 
-@given(st.lists(grid_point, max_size=12))
+@given(st.one_of(st.lists(grid_point, max_size=12), float_collision_points()))
 def test_is_strict_matches_brute_force(pts):
     expected = is_strict_brute(pts)
     assert _is_strict([Point(*p) for p in pts]) == expected
     if pts:
         assert classify(Polygon(pts)).strict == expected
+
+
+N = COORD_BOUND
+# Each pair's slopes from p round to one double, so the float filter
+# collides and only the exact fallback answers: the strict pairs have
+# cross product 1, the collinear twins 0.
+FLOAT_COLLISIONS = [
+    ((0, 0), [(N - 1, N), (N - 2, N - 1)], True),
+    ((-N, -N), [(-1, 0), (-2, -1)], True),
+    ((0, 0), [(N - 1, N), (-(N - 1), -N)], False),
+    ((-N, -N), [(-2, 0), (-N // 2 - 1, -N // 2)], False),
+]
+
+
+@pytest.mark.parametrize("p,others,expected", FLOAT_COLLISIONS,
+                         ids=["origin", "corner", "origin-collinear", "corner-collinear"])
+def test_strict_through_float_collision_answered_exactly(p, others, expected):
+    (ax, ay), (bx, by) = ((x - p[0], y - p[1]) for x, y in others)
+    assert ay / ax == by / bx
+    assert abs(ax * by - bx * ay) == int(expected)
+    assert _strict_through(p, others) is expected
+    assert _is_strict([p] + others) is expected
+    assert is_strict_brute([p] + others) is expected
 
 
 @given(grid_point, st.lists(grid_point, max_size=11))
@@ -136,6 +177,53 @@ def test_strict_through_matches_brute_force(p, others):
     if len(others) >= 2 and is_strict_brute(others):
         # the use in grow: a strict base plus one new vertex
         assert _strict_through(p, others) == is_strict_brute([p] + others)
+
+
+def test_classify_convex_answer_skips_strictness(monkeypatch):
+    # an all-agreeing sign scan proves strictness, so no O(n^2) check runs
+    def fail(*args):
+        raise AssertionError("strictness checked on a convex scan")
+
+    monkeypatch.setattr(eszk.geometry, "_is_strict", fail)
+    rep = classify(parabola_polygon(1000))
+    assert (rep.n, rep.strict, rep.ordinary, rep.dimension) == (1000, True, True, 2)
+
+
+def _pushed_onto_line(n, i):
+    # parabola n-gon with vertex i moved onto the line of its neighbours
+    vs = list(parabola_polygon(n).vertices)
+    (ax, ay), (bx, by) = vs[i - 1], vs[i + 1]
+    vs[i] = ((ax + bx) // 2, (ay + by) // 2)
+    return vs
+
+
+# (0, 0), (10, 0), (10, 10), (-10, 10), then a last vertex that the fan
+# around vertex 0 carries to or past the line of the first edge: every
+# sign triple agrees but the last, (0, 1, n-1).
+SPIRAL = [(0, 0), (10, 0), (10, 10), (-10, 10)]
+
+
+@pytest.mark.parametrize(
+    "pts,scan_fails_at",
+    [
+        (parabola_polygon(9).vertices, None),
+        (parabola_polygon(9).vertices[::-1], None),
+        ([(0, 0), (4, 1), (1, 3)], None),
+        ([(0, 0), (1, 3), (4, 1)], None),
+        ([(0, 0), (1, 1), (3, 3)], (0, 1, 2)),
+        (_pushed_onto_line(9, 4), (3, 4, 5)),
+        (_pushed_onto_line(9, 4)[::-1], (3, 4, 5)),
+        (SPIRAL + [(-10, -1)], (0, 1, 4)),
+        (SPIRAL + [(-10, 0)], (0, 1, 4)),
+    ],
+    ids=["ccw", "cw", "triangle-ccw", "triangle-cw", "triangle-collinear",
+         "pushed-onto-line", "pushed-onto-line-cw", "last-triple-turns", "last-triple-collinear"],
+)
+def test_classify_strict_matches_brute_around_the_sign_scan(pts, scan_fails_at):
+    vs = [Point(*p) for p in pts]
+    fail = _sign_scan(vs)
+    assert (fail and fail[0]) == scan_fails_at
+    assert classify(Polygon(vs)).strict == is_strict_brute(pts)
 
 
 def test_convex_hull_drops_edge_interior_points():
