@@ -106,12 +106,13 @@ def _oracle_verdict(vs) -> ConvexityVerdict:
     # holding both its ends and records its span on that side; a side's
     # coverage is then read from the spans matched to it (see oracle_test).
     n = len(vs)
-    if _dimension(vs) <= 1:
-        # Hull is a point or segment; the edge walk is connected and
-        # touches both endpoints, so it covers the whole hull.
+    hull, _ = _hull(vs)
+    if len(hull) <= 2:
+        # Dimension <= 1: the hull is a point or segment; the edge walk
+        # is connected and touches both endpoints, so it covers the whole
+        # hull.
         return ConvexityVerdict(True, METHOD_ORACLE)
 
-    hull, _ = _hull(vs)
     sides = list(zip(hull, hull[1:] + hull[:1]))
     spans = [[] for _ in sides]
     for i in range(n):
@@ -307,8 +308,11 @@ def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:
         hits = list(perms)
     else:
         # strictness is permutation-invariant: classify once, then decide
-        # each order by the sign test on strict input, the oracle otherwise
-        decide = _sign_verdict if rep.strict else _oracle_verdict
+        # each order by the bare sign scan on strict input (no verdict or
+        # witness per order), the oracle otherwise
         vs = P.vertices
-        hits = [perm for perm in perms if decide(tuple(vs[i] for i in perm)).convex]
+        if rep.strict:
+            hits = [perm for perm in perms if _sign_scan(tuple(vs[i] for i in perm)) is None]
+        else:
+            hits = [perm for perm in perms if _oracle_verdict(tuple(vs[i] for i in perm)).convex]
     return len(hits), hits

@@ -7,7 +7,10 @@ so one sign table per polygon and one exhaustive DFS for monochromatic
 index sets serve every strict search and count.  The table holds one
 bitset per index pair (a, b), the vertices c > b with (a, b, c) turning
 left; the DFS derives the right-turning ones as the complement among the
-vertices above b, since no determinant vanishes on strict input.
+vertices above b, since no determinant vanishes on strict input.  The
+table's C(n, 3) determinants are the ones strictness is defined by, so
+its build decides strictness too: it stops at the first vanishing one,
+and a polygon without a table takes the non-strict route.
 
 Non-strict polygons are searched by a second DFS over index prefixes,
 pruned by supporting lines.  One table per polygon (O(n^3)
@@ -44,7 +47,7 @@ from typing import Mapping
 
 from .convexity import _is_convex_vertices, _oracle_verdict
 from .errors import CapabilityError, ExhaustionError, InputError, PreconditionError
-from .geometry import Polygon, classify, perturb_to_strict
+from .geometry import Polygon, perturb_to_strict
 
 GOOD = "good"
 BAD = "bad"
@@ -94,23 +97,26 @@ def sub_polygon(P: Polygon, s) -> Polygon:
 def triple_coloring(P: Polygon) -> TripleColoring:
     """Color every index triple good (positive orientation) or bad
     (negative).  Defined only for strict polygons, where no determinant
-    vanishes."""
-    rep = classify(P)
-    if not rep.strict:
-        raise PreconditionError("triple_coloring needs a strict polygon")
+    vanishes; the sign table decides that as it is built."""
     pos = _polygon_signs(P.vertices)
+    if pos is None:
+        raise PreconditionError("triple_coloring needs a strict polygon")
+    n = len(pos)
     colors = {
         (a, b, c): GOOD if pos[a][b] >> c & 1 else BAD
-        for a, b, c in itertools.combinations(range(rep.n), 3)
+        for a, b, c in itertools.combinations(range(n), 3)
     }
-    return TripleColoring(n=rep.n, colors=colors)
+    return TripleColoring(n=n, colors=colors)
 
 
 def _polygon_signs(vs):
     # For each pair a < b, the bitset N+(a, b) of the vertices c > b
-    # whose triple (a, b, c) turns left.  On the strict inputs this
-    # serves, N-(a, b) is every other vertex above b, so _monochromatic
-    # derives it instead of storing it.
+    # whose triple (a, b, c) turns left, or None at the first index
+    # triple a < b < c whose determinant vanishes.  So the table exists
+    # exactly when vs is strict (a repeated point is collinear with
+    # every third one, and n <= 2 has no triple), and N-(a, b) is every
+    # other vertex above b, which _monochromatic derives instead of
+    # storing.
     n = len(vs)
     pos = [[0] * n for _ in range(n)]
     for a, b in itertools.combinations(range(n), 2):
@@ -119,13 +125,16 @@ def _polygon_signs(vs):
         p = 0
         for c in range(b + 1, n):
             cx, cy = vs[c]
-            if dx * (cy - ay) > (cx - ax) * dy:
+            left, right = dx * (cy - ay), (cx - ax) * dy
+            if left > right:
                 p |= 1 << c
+            elif left == right:
+                return None
         pos[a][b] = p
     return pos
 
 
-def _monochromatic(pos_t, n: int, k: int, budget):
+def _monochromatic(pos_t, k: int, budget):
     # Yield every k-subset whose index triples share one sign, in
     # lexicographic order.  A frame keeps one mask per sign of the
     # vertices that extend the prefix in that sign; choosing v ANDs
@@ -133,7 +142,7 @@ def _monochromatic(pos_t, n: int, k: int, budget):
     # union from the negative one, which holds only vertices above v, so
     # that clearing is the AND with every N-(a, v).  A mask that cannot
     # reach k is dropped.
-    full = (1 << n) - 1
+    full = (1 << len(pos_t)) - 1
     chosen: list[int] = []
     stack = [(full, full, full)]  # (untried, positive mask, negative mask)
     visited = 0
@@ -278,7 +287,7 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
             raise InputError(f"coloring {problem} triple {(a, b, c)}")
     if m > n:
         return None
-    hit = next(_monochromatic(pos, n, m, DEFAULT_BUDGET), None)
+    hit = next(_monochromatic(pos, m, DEFAULT_BUDGET), None)
     return hit and (hit, GOOD if colors[hit[:3]] == GOOD else BAD)
 
 
@@ -293,20 +302,22 @@ def count_convex_subgons(
 
     Returns (count, subsets) where subsets lists the convex index tuples
     in lexicographic order when include_subsets is set.  Strict polygons
-    count the leaves of the monochromatic DFS over their sign table.
-    Other polygons run the supporting-line DFS: a prefix is extended
-    only while every edge between consecutive chosen vertices, and the
-    new one, has all chosen vertices weakly on one side of its line,
-    and the closing edge is checked at the leaf.  That is necessary, as
-    a convex subset's edges with distinct ends lie on hull sides, and
-    on pairwise distinct points sufficient: the edges then lie on hull
-    sides, each run on a side's line goes corner to corner, and no
-    corner sits inside a run, so the edges trace the hull cycle (module
-    docstring).  A leaf that repeats a point is decided by the oracle.
-    C(n, k) <= budget bounds either DFS to C(n + 1, k) nodes; pruned
-    walks visit far fewer.  With oracle_only the definition-level test
-    is applied to every sub-polygon, bypassing both DFSs; certificate
-    verification relies on that mode.
+    count the leaves of the monochromatic DFS over their sign table,
+    whose build is also the strictness test: it stops at the first
+    collinear index triple.  Other polygons, those with no table, run
+    the supporting-line DFS: a prefix is extended only while every edge
+    between consecutive chosen vertices, and the new one, has all chosen
+    vertices weakly on one side of its line, and the closing edge is
+    checked at the leaf.  That is necessary, as a convex subset's edges
+    with distinct ends lie on hull sides, and on pairwise distinct
+    points sufficient: the edges then lie on hull sides, each run on a
+    side's line goes corner to corner, and no corner sits inside a run,
+    so the edges trace the hull cycle (module docstring).  A leaf that
+    repeats a point is decided by the oracle.  C(n, k) <= budget bounds
+    either DFS to C(n + 1, k) nodes; pruned walks visit far fewer.  With
+    oracle_only the definition-level test is applied to every
+    sub-polygon, bypassing both DFSs; certificate verification relies on
+    that mode.
     """
     n = len(P)
     if not 1 <= k <= n:
@@ -321,8 +332,8 @@ def count_convex_subgons(
             for idx in itertools.combinations(range(n), k)
             if _oracle_verdict(tuple(vs[i] for i in idx)).convex
         )
-    elif classify(P).strict:
-        hits = _monochromatic(_polygon_signs(vs), n, k, math.inf)
+    elif (signs := _polygon_signs(vs)) is not None:
+        hits = _monochromatic(signs, k, math.inf)
     else:
         hits = _convex_subsets(vs, k, math.inf)
     if not include_subsets:
@@ -334,16 +345,18 @@ def count_convex_subgons(
 def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     """Find an index subset whose sub-k-gon is convex, or None.
 
-    k <= 3 subsets are always convex.  On a strict polygon the answer is
-    the lexicographically least convex subset, from the exhaustive
-    monochromatic DFS over the sign table (capped at budget nodes); its
-    None is final.  Non-strict polygons are perturbed into strict
-    position and searched there by the same DFS, and a hit is
-    re-verified on the original polygon.  When that fails (no hit, a hit
-    that is not convex on the original, or coordinates past 10^5, which
-    the perturbation cannot scale) the answer is the first leaf of the
-    exact supporting-line DFS of count_convex_subgons, also capped at
-    budget nodes, so the perturbation is an accelerator, never an
+    k <= 3 subsets are always convex.  The polygon's sign table decides
+    strictness as it is built (it stops at the first collinear index
+    triple).  On a strict polygon the answer is the lexicographically
+    least convex subset, from the exhaustive monochromatic DFS over that
+    table (capped at budget nodes); its None is final.  Non-strict
+    polygons, those with no table, are perturbed into strict position
+    and searched there by the same DFS, and a hit is re-verified on the
+    original polygon.  When that fails (no hit, a hit that is not convex
+    on the original, or a coordinate of absolute value 10^5 or more,
+    which the perturbation cannot scale) the answer is the first leaf of
+    the exact supporting-line DFS of count_convex_subgons, also capped
+    at budget nodes, so the perturbation is an accelerator, never an
     authority.  Its leaves of pairwise distinct points are convex as
     they stand (see count_convex_subgons); one that repeats a point is
     decided by the oracle.
@@ -354,12 +367,9 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     if k <= 3:
         return tuple(range(k))
     vs = P.vertices
-
-    def first_hit(Q):
-        return next(_monochromatic(_polygon_signs(Q.vertices), n, k, budget), None)
-
-    if classify(P).strict:
-        hit = first_hit(P)
+    signs = _polygon_signs(vs)
+    if signs is not None:
+        hit = next(_monochromatic(signs, k, budget), None)
         if hit is not None and not _is_convex_vertices(tuple(vs[i] for i in hit)).convex:
             raise RuntimeError(
                 f"internal inconsistency: monochromatic subset {hit} is not a convex sub-{k}-gon"
@@ -367,7 +377,9 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
         return hit
 
     try:
-        hit = first_hit(perturb_to_strict(P, _PERTURB_SCALE, _PERTURB_JITTER, _PERTURB_SEED))
+        Q = perturb_to_strict(P, _PERTURB_SCALE, _PERTURB_JITTER, _PERTURB_SEED)
+        # strict by construction, so Q always has a table
+        hit = next(_monochromatic(_polygon_signs(Q.vertices), k, budget), None)
     except (InputError, ExhaustionError):
         hit = None  # no strict perturbation
     if hit is not None and _is_convex_vertices(tuple(vs[i] for i in hit)).convex:

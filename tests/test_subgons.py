@@ -25,9 +25,16 @@ from eszk import (
     sub_polygon,
     triple_coloring,
 )
+import eszk.geometry
 import eszk.subgons
-from eszk.subgons import _convex_subsets
-from conftest import det, random_convex_polygon, random_polygon, random_strict_polygon
+from eszk.subgons import _convex_subsets, _polygon_signs
+from conftest import (
+    det,
+    is_strict_brute,
+    random_convex_polygon,
+    random_polygon,
+    random_strict_polygon,
+)
 
 HEXAGON = [(0, 0), (4, -1), (7, 2), (6, 6), (2, 7), (-2, 3)]
 
@@ -371,6 +378,58 @@ def test_distinct_points_need_no_oracle(pts):
         mp.setattr(eszk.subgons, "_oracle_verdict", fail)
         for k, convex in expected.items():
             assert list(_convex_subsets(P.vertices, k, math.inf)) == convex
+
+
+@st.composite
+def planted_grid_points(draw):
+    """Grid points, n from 1 to 9, some with a planted duplicate or a
+    vertex planted on the line of two others (anywhere, or at the last
+    three indices)."""
+    # uniform draws: hypothesis's own integers favour small values, so
+    # large boxes would rarely give a strict polygon
+    rnd = draw(st.randoms(use_true_random=False))
+    box = draw(st.sampled_from([3, 1000]))
+    n = draw(st.integers(1, 9))
+    pts = [(rnd.randint(-box, box), rnd.randint(-box, box)) for _ in range(n)]
+    plant = draw(st.sampled_from(["none", "none", "duplicate", "collinear", "collinear-last"]))
+    if plant == "duplicate" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        pts[j] = pts[i]
+    elif plant.startswith("collinear") and n >= 3:
+        if plant == "collinear-last":
+            a, b, c = n - 3, n - 2, n - 1
+        else:
+            a, b, c = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+        t = draw(st.integers(-2, 3))
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        pts[c] = (ax + t * (bx - ax), ay + t * (by - ay))
+    return pts
+
+
+@settings(deadline=None, max_examples=400)
+@given(planted_grid_points())
+def test_sign_table_is_the_strictness_test(pts):
+    # the table exists exactly when no index triple is collinear, and
+    # then every bit is the brute-force orientation
+    signs = _polygon_signs(Polygon(pts).vertices)
+    assert (signs is None) == (not is_strict_brute(pts))
+    if signs is not None:
+        for a, b, c in itertools.combinations(range(len(pts)), 3):
+            assert (signs[a][b] >> c & 1) == (det(pts[a], pts[b], pts[c]) > 0)
+
+
+def test_subgon_routes_never_classify(monkeypatch):
+    # The 7-gon is strict but not convex, so classify would run the
+    # O(n^2) strictness test; the sign table decides strictness instead.
+    def fail(*args):
+        raise AssertionError("strictness checked outside the sign table")
+
+    monkeypatch.setattr(eszk.geometry, "_is_strict", fail)
+    with pytest.raises(AssertionError, match="outside the sign table"):
+        classify(SEVEN_GON_CERTIFICATE)
+    assert count_convex_subgons(SEVEN_GON_CERTIFICATE, 4) == (0, None)
+    assert find_convex_subgon(SEVEN_GON_CERTIFICATE, 4) is None
+    assert triple_coloring(SEVEN_GON_CERTIFICATE).n == 7
 
 
 def test_oracle_sees_only_supported_subsets(monkeypatch, rng):
