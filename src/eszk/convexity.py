@@ -91,47 +91,50 @@ def sign_test(P: Polygon) -> ConvexityVerdict:
     return verdict
 
 
-def _on_segment(p, q, a) -> bool:
-    # Is a on the closed segment [p, q]?  (p == q degenerates to a point.)
-    if _det(p.x, p.y, q.x, q.y, a.x, a.y) != 0:
-        return False
-    return (
-        min(p.x, q.x) <= a.x <= max(p.x, q.x)
-        and min(p.y, q.y) <= a.y <= max(p.y, q.y)
-    )
+def _side_pos(p, q, a):
+    # The closed-side predicate: where a sits on the segment from p to
+    # q != p, as its exact inner product with q - p (0 at p, |q - p|^2
+    # at q), or None off the segment.  On the line pq that inner product
+    # lies in [0, |q - p|^2] exactly when a lies between p and q.
+    (px, py), (qx, qy), (x, y) = p, q, a
+    dx, dy = qx - px, qy - py
+    x -= px
+    y -= py
+    if dx * y != dy * x:
+        return None
+    t = x * dx + y * dy
+    return t if 0 <= t <= dx * dx + dy * dy else None
 
 
-def _oracle_verdict(vs) -> ConvexityVerdict:
-    # One walk over the edges matches each edge to the first hull side
-    # holding both its ends and records its span on that side; a side's
-    # coverage is then read from the spans matched to it (see oracle_test).
-    n = len(vs)
-    hull, _ = _hull(vs)
+def _oracle_fail(vs):
+    """The oracle's walk without a verdict: None when vs is convex by the
+    definition (oracle_test), otherwise the index of the first edge that
+    leaves the hull boundary, or else the first hull side (p, q), in hull
+    order, that the edges leave uncovered.  Exhaustive counts test this
+    directly, so they build no verdict and no witness string."""
+    hull = _hull(vs)
     if len(hull) <= 2:
         # Dimension <= 1: the hull is a point or segment; the edge walk
         # is connected and touches both endpoints, so it covers the whole
         # hull.
-        return ConvexityVerdict(True, METHOD_ORACLE)
+        return None
 
+    # One walk over the edges matches each edge to the first hull side
+    # holding both its ends and records its span on that side.
     sides = list(zip(hull, hull[1:] + hull[:1]))
     spans = [[] for _ in sides]
+    n = len(vs)
     for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
+        a, b = vs[i], vs[i + 1 - n]
         for (p, q), found in zip(sides, spans):
-            if _on_segment(p, q, a) and _on_segment(p, q, b):
-                # A point of side (p, q) sits at its exact integer inner
-                # product with q - p: 0 at p, |q - p|^2 at q.
-                dx, dy = q.x - p.x, q.y - p.y
-                sa = (a.x - p.x) * dx + (a.y - p.y) * dy
-                sb = (b.x - p.x) * dx + (b.y - p.y) * dy
-                found.append((sa, sb) if sa <= sb else (sb, sa))
-                break
+            sa = _side_pos(p, q, a)
+            if sa is not None:
+                sb = _side_pos(p, q, b)
+                if sb is not None:
+                    found.append((sa, sb) if sa <= sb else (sb, sa))
+                    break
         else:
-            return ConvexityVerdict(
-                False,
-                METHOD_ORACLE,
-                witness=f"edge {i} from {tuple(a)} to {tuple(b)} leaves the hull boundary",
-            )
+            return i
 
     # Sweep each side's spans up from p; a zero-length span never extends
     # the covered prefix.
@@ -142,14 +145,24 @@ def _oracle_verdict(vs) -> ConvexityVerdict:
                 break
             if hi > covered:
                 covered = hi
-        if covered < (q.x - p.x) ** 2 + (q.y - p.y) ** 2:
-            return ConvexityVerdict(
-                False,
-                METHOD_ORACLE,
-                witness=f"hull edge from {tuple(p)} to {tuple(q)} is not covered by polygon edges",
-            )
+        (px, py), (qx, qy) = p, q
+        if covered < (qx - px) ** 2 + (qy - py) ** 2:
+            return p, q
+    return None
 
-    return ConvexityVerdict(True, METHOD_ORACLE)
+
+def _oracle_verdict(vs) -> ConvexityVerdict:
+    # The verdict of _oracle_fail, with its witness in words.
+    fail = _oracle_fail(vs)
+    if fail is None:
+        return ConvexityVerdict(True, METHOD_ORACLE)
+    if type(fail) is int:
+        a, b = vs[fail], vs[(fail + 1) % len(vs)]
+        witness = f"edge {fail} from {tuple(a)} to {tuple(b)} leaves the hull boundary"
+    else:
+        p, q = fail
+        witness = f"hull edge from {tuple(p)} to {tuple(q)} is not covered by polygon edges"
+    return ConvexityVerdict(False, METHOD_ORACLE, witness=witness)
 
 
 def oracle_test(P: Polygon) -> ConvexityVerdict:
@@ -243,8 +256,8 @@ def to_one_side(P: Polygon) -> ToOneSideWitness | None:
         # all vertices project equally onto a normal of the carrier line
         return ToOneSideWitness((normal,) * n)
 
-    hull, _ = _hull(vs)
-    h = len(hull)
+    hull = _hull(vs)
+    sides = list(zip(hull, hull[1:] + hull[:1]))
     normals = []
     for j in range(n):
         a, b = vs[j], vs[(j + 1) % n]
@@ -261,9 +274,8 @@ def to_one_side(P: Polygon) -> ToOneSideWitness | None:
             # Degenerate edge: a supporting functional at the point a
             # exists iff a lies on the hull boundary; the inward normal
             # of a hull edge through a is one.
-            for t in range(h):
-                p, q = hull[t], hull[(t + 1) % h]
-                if _on_segment(p, q, a):
+            for p, q in sides:
+                if _side_pos(p, q, a) is not None:
                     normals.append(_perp_ccw(q.x - p.x, q.y - p.y))
                     break
             else:
@@ -284,9 +296,10 @@ def is_pre_convex(P: Polygon) -> bool:
     hull corners.
     """
     vs = P.vertices
-    hull, extreme = _hull(vs)
+    hull = _hull(vs)
+    extreme = set(hull)
     sides = list(zip(hull, hull[1:] + hull[:1]))
-    return all(v in extreme or any(_on_segment(p, q, v) for p, q in sides) for v in vs)
+    return all(v in extreme or any(_side_pos(p, q, v) is not None for p, q in sides) for v in vs)
 
 
 def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:
@@ -308,11 +321,11 @@ def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:
         hits = list(perms)
     else:
         # strictness is permutation-invariant: classify once, then decide
-        # each order by the bare sign scan on strict input (no verdict or
-        # witness per order), the oracle otherwise
+        # each order by the bare sign scan on strict input, the oracle's
+        # core otherwise (no verdict or witness per order)
         vs = P.vertices
         if rep.strict:
             hits = [perm for perm in perms if _sign_scan(tuple(vs[i] for i in perm)) is None]
         else:
-            hits = [perm for perm in perms if _oracle_verdict(tuple(vs[i] for i in perm)).convex]
+            hits = [perm for perm in perms if _oracle_fail(tuple(vs[i] for i in perm)) is None]
     return len(hits), hits

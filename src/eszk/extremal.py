@@ -208,7 +208,9 @@ def verify_certificate(P: Polygon, k: int, budget: int = DEFAULT_BUDGET) -> Cert
     """Exhaustively test every sub-k-gon with the definition-level oracle.
 
     The fast sign route is deliberately not trusted here: a bound claim
-    must not rest on the optimized path.
+    must not rest on the optimized path.  Each subset goes through the
+    oracle's witness-free core, the walk oracle_test words its verdicts
+    from, so the count builds no verdict or witness string per subset.
     """
     count, _ = count_convex_subgons(P, k, budget=budget, oracle_only=True)
     return Certificate(

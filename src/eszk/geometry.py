@@ -251,31 +251,44 @@ def convex_hull(points) -> tuple[list[Point], frozenset[Point]]:
     point) or a two-point cycle (collinear set: the two endpoints).
     Coincident input points are deduplicated before the scan.
     """
-    return _hull(as_point(p) for p in points)
-
-
-def _hull(points) -> tuple[list[Point], frozenset[Point]]:
-    # convex_hull's monotone-chain scan on already validated Points, such
-    # as Polygon.vertices, which need no second coercion.
-    pts = sorted(set(points))
+    pts = [as_point(p) for p in points]
     if not pts:
         raise InputError("convex_hull needs at least one point")
-    if len(pts) == 1:
-        return [pts[0]], frozenset(pts)
-
-    def half(seq):
-        h = []
-        for p in seq:
-            # <= 0 pops collinear points, keeping corners only
-            while len(h) >= 2 and _det(h[-2].x, h[-2].y, h[-1].x, h[-1].y, p.x, p.y) <= 0:
-                h.pop()
-            h.append(p)
-        return h
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    cycle = lower[:-1] + upper[:-1]
+    cycle = _hull(pts)
     return cycle, frozenset(cycle)
+
+
+def _hull(points) -> list:
+    """The counterclockwise corner cycle of a non-empty collection of
+    (x, y) int pairs, such as Polygon.vertices, which need no second
+    validation; coordinates are read by tuple unpacking.  The cycle
+    starts at the least point in (x, y) order and is the one
+    convex_hull returns: a single point, or the two ends of a segment,
+    when the points span dimension 0 or 1."""
+    pts = sorted(set(points))
+    if len(pts) == 1:
+        return pts
+    # Monotone chain: one pass over the sorted points grows the lower
+    # chain, which pops on a turn that is not left, and the upper chain,
+    # which pops on one that is not right, so collinear points go and
+    # only corners stay.
+    lower, upper = [], []
+    for p in pts:
+        x, y = p
+        while len(lower) >= 2:
+            (ax, ay), (bx, by) = lower[-2], lower[-1]
+            if (bx - ax) * (y - ay) > (x - ax) * (by - ay):
+                break
+            lower.pop()
+        lower.append(p)
+        while len(upper) >= 2:
+            (ax, ay), (bx, by) = upper[-2], upper[-1]
+            if (bx - ax) * (y - ay) < (x - ax) * (by - ay):
+                break
+            upper.pop()
+        upper.append(p)
+    upper.reverse()
+    return lower[:-1] + upper[:-1]
 
 
 def perturb_to_strict(P: Polygon, scale: int, jitter: int, seed) -> Polygon:

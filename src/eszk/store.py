@@ -6,10 +6,14 @@ The environment variable ESZK_STORE overrides the default path; an
 explicit path overrides both.
 
 The file is one JSON document with one certificate record per line.
-Each append rewrites it whole, through an fsynced temp file renamed into
-place; on POSIX, appends to stores in one directory are serialized by an
-exclusive flock on that directory.  An I/O failure raises InputError
-naming the store.
+An append still parses the whole file, since its duplicate check reads
+every record's key, but encodes only the new record: a file in that
+layout keeps its bytes and gains one line before the closing "]}".  A
+file in any other layout (an older indented store, say) is encoded
+whole.  Either way the new text goes through an fsynced temp file
+renamed into place; on POSIX, appends to stores in one directory are
+serialized by an exclusive flock on that directory.  An I/O failure
+raises InputError naming the store.
 """
 
 from __future__ import annotations
@@ -41,19 +45,26 @@ def _seed_records() -> list[dict]:
     return [cert.to_dict()]
 
 
-def _read(path: str) -> dict:
+def _read(path: str) -> tuple[str, dict]:
+    # The store's text, read as stored (no newline translation), and the
+    # document it holds.
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"store file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
         raise InputError(f"store file {path} has no certificate list")
-    return data
+    return text, data
+
+
+_TAIL = "\n]}\n"
 
 
 def _encode(data: dict) -> str:
@@ -62,16 +73,29 @@ def _encode(data: dict) -> str:
     rest = {key: value for key, value in data.items() if key != "certificates"}
     head = json.dumps({**rest, "certificates": []})[:-2]  # ends '"certificates": ['
     records = ",\n".join(map(json.dumps, data["certificates"]))
-    return f"{head}\n{records}\n]}}\n"
+    return f"{head}\n{records}{_TAIL}"
 
 
-def _write(path: str, data: dict) -> None:
+def _appended(text: str, data: dict, record: dict) -> str:
+    # The store text with record appended to its certificate list.  Text
+    # in the layout _encode writes keeps its bytes and gains one line:
+    # when the list is the last key (of a document without repeated
+    # keys) and non-empty, and the text ends in "\n]}\n", that "]"
+    # closes the list and the text before the "\n" ends with its last
+    # record.  Any other text is encoded whole.
+    certs = data["certificates"]
+    if certs and text.endswith(_TAIL) and next(reversed(data)) == "certificates":
+        return f"{text[:-len(_TAIL)]},\n{json.dumps(record)}{_TAIL}"
+    certs.append(record)
+    return _encode(data)
+
+
+def _write(path: str, text: str) -> None:
     # Write a sibling temp file in one call, fsync it and rename it over
     # the store, so a crash mid-write leaves the previous store intact.
-    text = _encode(data)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
@@ -105,7 +129,7 @@ def load_certificates(path: str | None = None) -> list[Certificate]:
     if not os.path.exists(path):
         return []
     certs = []
-    for i, rec in enumerate(_read(path)["certificates"]):
+    for i, rec in enumerate(_read(path)[1]["certificates"]):
         try:
             certs.append(Certificate.from_dict(rec))
         except InputError as exc:
@@ -133,7 +157,10 @@ def add_certificate(cert: Certificate, path: str | None = None) -> bool:
     try:
         with _writers_serialized(path):
             created = not os.path.exists(path)
-            data = {"version": 1, "certificates": _seed_records()} if created else _read(path)
+            if created:
+                text, data = "", {"version": 1, "certificates": _seed_records()}
+            else:
+                text, data = _read(path)
             added = True
             for i, existing in enumerate(data["certificates"]):
                 try:
@@ -144,9 +171,9 @@ def add_certificate(cert: Certificate, path: str | None = None) -> bool:
                         f"(no k and vertices): {exc!r}"
                     ) from exc
             if added:
-                data["certificates"].append(record)
-            if added or created:
-                _write(path, data)
+                _write(path, _appended(text, data, record))
+            elif created:
+                _write(path, _encode(data))
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     return added

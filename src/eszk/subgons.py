@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .convexity import _is_convex_vertices, _oracle_verdict
+from .convexity import _is_convex_vertices, _oracle_fail
 from .errors import CapabilityError, ExhaustionError, InputError, PreconditionError
 from .geometry import Polygon, perturb_to_strict
 
@@ -249,7 +249,7 @@ def _convex_subsets(vs, k: int, budget):
             if chosen and not one_side(chosen[0], v, ext):
                 continue
             idx = (*chosen, v)
-            if not repeats or _oracle_verdict(tuple(vs[i] for i in idx)).convex:
+            if not repeats or _oracle_fail(tuple(vs[i] for i in idx)) is None:
                 yield idx
             continue
         cand = rest
@@ -329,8 +329,8 @@ def count_convex_subgons(
     if oracle_only:
         hits = (
             idx
-            for idx in itertools.combinations(range(n), k)
-            if _oracle_verdict(tuple(vs[i] for i in idx)).convex
+            for idx, sub in zip(itertools.combinations(range(n), k), itertools.combinations(vs, k))
+            if _oracle_fail(sub) is None
         )
     elif (signs := _polygon_signs(vs)) is not None:
         hits = _monochromatic(signs, k, math.inf)

@@ -121,6 +121,15 @@ class TestOracle:
             False, "oracle", f"hull edge from {side} is not covered by polygon edges"
         )
 
+    def test_edge_with_its_ends_on_different_sides(self):
+        # (0, 2) is on the top and left sides and (1, 0) on the bottom
+        # one, so each side holds exactly one end of edge 3: an edge is
+        # matched to a side only by both its ends
+        verdict = oracle_test(Polygon([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0)]))
+        assert verdict == ConvexityVerdict(
+            False, "oracle", "edge 3 from (0, 2) to (1, 0) leaves the hull boundary"
+        )
+
     def test_edge_spanning_full_hull_side_with_midpoint_vertex(self):
         # vertex interior to a hull edge, walk still covers the boundary
         assert oracle_test(Polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])).convex

@@ -159,6 +159,59 @@ def test_store_is_one_record_per_line(tmp_path, seven_gon):
     assert json.loads(store.read_text()) == expected
 
 
+def test_append_keeps_the_old_bytes(tmp_path, seven_gon, monkeypatch):
+    store = tmp_path / "s.json"
+    encode = eszk.store._encode
+
+    def translate(dx):
+        return verify_certificate(Polygon((x + dx, y) for x, y in seven_gon.vertices), 4)
+
+    assert add_certificate(translate(1), str(store))  # creates the store
+    # from here on no stored record is encoded again
+    monkeypatch.setattr(eszk.store, "_encode", None)
+    text = store.read_text()
+    for dx in range(2, 6):
+        assert add_certificate(translate(dx), str(store))
+        before, text = text, store.read_text()
+        assert text.startswith(before[: -len("\n]}\n")] + ",\n")
+        assert text == encode(json.loads(text))
+        assert len(text.splitlines()) == dx + 3
+    # a line in another spelling of JSON is kept as it is
+    lines = text.splitlines()
+    lines[1] = json.dumps(json.loads(lines[1].rstrip(",")), separators=(",", ":")) + ","
+    store.write_text("\n".join(lines) + "\n")
+    cert = translate(9)
+    assert add_certificate(cert, str(store))
+    assert store.read_text() == "\n".join(lines[:-1]) + f",\n{json.dumps(cert.to_dict())}\n]}}\n"
+
+
+RECORD = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
+
+
+@pytest.mark.parametrize(
+    "text, rest, kept",
+    [
+        # ends in "\n]}\n", but that "]" closes another list
+        ('{"certificates": [\n%s\n], "note": [\n1\n]}\n' % json.dumps(RECORD), {"note": [1]},
+         [RECORD]),
+        ('{"version": 1, "certificates": [\n%s\n]}' % json.dumps(RECORD), {"version": 1},
+         [RECORD]),
+        ('{"version": 1, "certificates": [\n]}\n', {"version": 1}, []),
+    ],
+    ids=["certificates-not-last", "no-trailing-newline", "empty-list"],
+)
+def test_other_layouts_are_rewritten_whole(tmp_path, seven_gon, text, rest, kept):
+    store = tmp_path / "s.json"
+    store.write_text(text)
+    cert = verify_certificate(Polygon(seven_gon.vertices[:5]), 4)
+    assert add_certificate(cert, str(store))
+    written = store.read_text()
+    data = json.loads(written)
+    assert data == {**rest, "certificates": kept + [cert.to_dict()]}
+    assert written == eszk.store._encode(data)
+    assert len(written.splitlines()) == len(data["certificates"]) + 2
+
+
 # A store as the indent=2 writer left it, with a top-level key of its own.
 INDENTED_STORE = """\
 {

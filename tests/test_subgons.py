@@ -349,6 +349,29 @@ def test_non_strict_enumeration_matches_oracle(rng):
         assert_dfs_matches_oracle(P)
 
 
+@pytest.mark.parametrize("plant", ["strict", "duplicate", "collinear"])
+def test_oracle_only_count_matches_the_dfs_routes(rng, plant):
+    # the certificate route, every k-subset through the witness-free
+    # oracle core, against the sign-table DFS on strict polygons and the
+    # supporting-line DFS on a planted duplicate or collinear triple
+    for _ in range(15):
+        n = rng.randint(6, 10)
+        if plant == "strict":
+            P = random_strict_polygon(rng, n, rng.choice([8, 40, 10**4]))
+        else:
+            pts = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)]
+            a, b, c = rng.sample(range(n), 3)
+            (ax, ay), (bx, by) = pts[a], pts[b]
+            pts[c] = (ax, ay) if plant == "duplicate" else (2 * bx - ax, 2 * by - ay)
+            P = Polygon(pts)
+        assert (_polygon_signs(P.vertices) is None) == (plant != "strict")
+        for k in range(4, 7):
+            count, subsets = count_convex_subgons(P, k, include_subsets=True)
+            assert count_convex_subgons(P, k, oracle_only=True) == (count, None)
+            assert count_convex_subgons(P, k, include_subsets=True, oracle_only=True) == (
+                count, subsets)
+
+
 @pytest.mark.parametrize("name", list(NON_STRICT))
 def test_non_strict_cases_match_oracle(name):
     P = Polygon(NON_STRICT[name])
@@ -375,7 +398,7 @@ def test_distinct_points_need_no_oracle(pts):
         raise AssertionError(f"oracle called on distinct points {sub}")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eszk.subgons, "_oracle_verdict", fail)
+        mp.setattr(eszk.subgons, "_oracle_fail", fail)
         for k, convex in expected.items():
             assert list(_convex_subsets(P.vertices, k, math.inf)) == convex
 
@@ -437,13 +460,13 @@ def test_oracle_sees_only_supported_subsets(monkeypatch, rng):
     # each edge, the closing edge included, on a supporting line of its
     # own vertices
     seen = []
-    oracle = eszk.subgons._oracle_verdict
+    oracle = eszk.subgons._oracle_fail
 
     def spy(sub):
         seen.append(sub)
         return oracle(sub)
 
-    monkeypatch.setattr(eszk.subgons, "_oracle_verdict", spy)
+    monkeypatch.setattr(eszk.subgons, "_oracle_fail", spy)
     for trial in range(30):
         n = rng.randint(5, 9)
         pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
