@@ -248,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
             file=False, store=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iters", type=int, default=5000)
-    p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--box", type=int, default=50)
-    p.add_argument("--temp", type=float, default=2.0)
-    p.add_argument("--decay", type=float, default=0.999)
-    p.add_argument("--radius", type=int, default=5)
+    p.add_argument("--iters", type=int, default=SearchConfig.max_iterations)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--box", type=int, default=SearchConfig.box)
+    p.add_argument("--temp", type=float, default=SearchConfig.t0)
+    p.add_argument("--decay", type=float, default=SearchConfig.decay)
+    p.add_argument("--radius", type=int, default=SearchConfig.radius)
     p.add_argument("--parallel", type=int, default=1, metavar="W",
                    help="worker processes for restarts (result is identical)")
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapabilityError, PreconditionError
-from .geometry import Polygon, _det, _dimension, _hull, _is_strict, _sign_scan, classify
+from .geometry import Polygon, _dimension, _hull, _is_strict, _sign_scan, classify
 
 # Factorial enumeration cap for the permutation census.
 PERMUTATION_LIMIT = 8
@@ -237,69 +237,64 @@ def _perp_ccw(dx: int, dy: int) -> tuple[int, int]:
 
 
 def to_one_side(P: Polygon) -> ToOneSideWitness | None:
-    """Search for per-edge supporting halfplanes.
+    """Per-edge supporting halfplanes: the oracle's edge walk with normals.
 
     Returns a witness iff every edge admits a nonzero linear functional
     vanishing on its direction with all vertices on the non-negative side
-    relative to the edge start.  A nondegenerate edge has exactly two
-    candidate normals (up to positive scaling); a degenerate edge accepts
-    any supporting direction, found among the hull edge normals.
+    relative to the edge start, else None.  A point or segment hull gives
+    one normal for every edge.  Otherwise each edge is matched to the
+    first hull side holding both its ends, as in oracle_test, and gets
+    that side's inward normal: b - a turned left when the edge runs the
+    side's counterclockwise way, a - b when it runs against it, and the
+    side's own for a repeated point.  The match is exact: a line that
+    supports the hull and holds two distinct vertices meets it in one
+    side, and a point has a supporting functional iff it lies on the
+    boundary.  O(n h) for h hull corners.
     """
     vs = P.vertices
     n = len(vs)
-    dim = _dimension(vs)
-    if dim == 0:
-        return ToOneSideWitness(((1, 0),) * n)
-    if dim == 1:
-        b = next(v for v in vs if v != vs[0])
-        normal = _perp_ccw(b.x - vs[0].x, b.y - vs[0].y)
-        # all vertices project equally onto a normal of the carrier line
-        return ToOneSideWitness((normal,) * n)
-
     hull = _hull(vs)
+    if len(hull) == 1:
+        return ToOneSideWitness(((1, 0),) * n)
+    if len(hull) == 2:
+        # all vertices project equally onto a normal of the carrier line
+        b = next(v for v in vs if v != vs[0])
+        return ToOneSideWitness((_perp_ccw(b.x - vs[0].x, b.y - vs[0].y),) * n)
+
     sides = list(zip(hull, hull[1:] + hull[:1]))
     normals = []
-    for j in range(n):
-        a, b = vs[j], vs[(j + 1) % n]
-        if a != b:
-            dets = [_det(a.x, a.y, b.x, b.y, v.x, v.y) for v in vs]
-            if all(d >= 0 for d in dets):
-                normals.append(_perp_ccw(b.x - a.x, b.y - a.y))
-            elif all(d <= 0 for d in dets):
-                nx, ny = _perp_ccw(b.x - a.x, b.y - a.y)
-                normals.append((-nx, -ny))
-            else:
-                return None
-        else:
-            # Degenerate edge: a supporting functional at the point a
-            # exists iff a lies on the hull boundary; the inward normal
-            # of a hull edge through a is one.
-            for p, q in sides:
-                if _side_pos(p, q, a) is not None:
-                    normals.append(_perp_ccw(q.x - p.x, q.y - p.y))
+    for i in range(n):
+        a, b = vs[i], vs[i + 1 - n]
+        for p, q in sides:
+            sa = _side_pos(p, q, a)
+            if sa is not None:
+                sb = _side_pos(p, q, b)
+                if sb is not None:
                     break
-            else:
-                return None
+        else:
+            return None
+        # the side's counterclockwise direction, scaled to the edge
+        u, v = (a, b) if sb > sa else (b, a) if sb < sa else (p, q)
+        normals.append(_perp_ccw(v.x - u.x, v.y - u.y))
     return ToOneSideWitness(tuple(normals))
 
 
 def is_pre_convex(P: Polygon) -> bool:
     """Does some permutation of the vertex sequence form a convex polygon?
 
-    Exactly when every vertex lies on the boundary of its hull, at a
-    corner or on a side.  A convex order's vertices lie on its edge
-    union, which is that boundary; conversely, the boundary points
-    walked counterclockwise, copies of a point kept adjacent, form a
-    convex order.  A one- or two-point hull cycle is a point or a
-    segment, so dimension <= 1 needs no special case, and on strict
-    input a vertex that is not a corner is interior.  O(n h) for h
-    hull corners.
+    Exactly when every vertex lies on the boundary of its hull, that is
+    on a side (a corner lies on its own sides): the side test of
+    oracle_test and to_one_side applied to vertices.  A convex order's
+    vertices lie on its edge union, which is that boundary; conversely,
+    the boundary points walked counterclockwise, copies of a point kept
+    adjacent, form a convex order.  A one- or two-point hull cycle is a
+    point or a segment, so dimension <= 1 needs no special case.  O(n h)
+    for h hull corners.
     """
     vs = P.vertices
     hull = _hull(vs)
-    extreme = set(hull)
     sides = list(zip(hull, hull[1:] + hull[:1]))
-    return all(v in extreme or any(_side_pos(p, q, v) is not None for p, q in sides) for v in vs)
+    return all(any(_side_pos(p, q, v) is not None for p, q in sides) for v in vs)
 
 
 def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:

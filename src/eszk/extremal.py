@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import CapabilityError, InputError, PreconditionError
-from .geometry import COORD_BOUND, Polygon, _is_strict, _sign_triples, _strict_through, classify
+from .geometry import COORD_BOUND, Polygon, _is_strict, _sign_triples, _strict_through
 from .subgons import DEFAULT_BUDGET, _polygon_signs, count_convex_subgons, find_convex_subgon
 
 # 7 vertices with no convex sub-4-gon among all 35 index subsets
@@ -508,7 +508,7 @@ def _grow(P: Polygon, cfg: SearchConfig) -> Certificate | None:
             f"grow needs a verified certificate; the input {len(P)}-gon has "
             f"convex sub-{cfg.k}-gons"
         )
-    if not classify(P).strict:
+    if not _is_strict(P.vertices):
         return None  # no insertion into a non-strict polygon can be strict
     n = len(P)
     vs = [(v.x, v.y) for v in P.vertices]

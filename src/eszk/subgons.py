@@ -359,7 +359,8 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     at budget nodes, so the perturbation is an accelerator, never an
     authority.  Its leaves of pairwise distinct points are convex as
     they stand (see count_convex_subgons); one that repeats a point is
-    decided by the oracle.
+    decided by the oracle.  budget caps DFS nodes only: the O(n^3) sign
+    table is built in full before the DFS starts.
     """
     n = len(P)
     if not 1 <= k <= n:

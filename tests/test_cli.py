@@ -11,7 +11,7 @@ import eszk
 from eszk import Polygon, is_convex, parse_polygon
 from eszk.cli import main, render_svg
 from eszk.store import add_certificate, load_certificates
-from eszk.extremal import verify_certificate, SEVEN_GON_CERTIFICATE
+from eszk.extremal import SearchConfig, SearchResult, verify_certificate, SEVEN_GON_CERTIFICATE
 from conftest import parabola_polygon
 
 SEVEN_JSON = '{"vertices": [[-13,0],[15,0],[0,16],[18,39],[27,-15],[10,20],[16,30]]}'
@@ -225,6 +225,19 @@ def test_search_cli_small(capsys, tmp_path):
     assert len(result["best"]["vertices"]) == 5
     if result["objective"] == 0:
         assert result["certificate"]["verified"] is True
+
+
+def test_search_cli_defaults_are_search_config_defaults(capsys, monkeypatch):
+    seen = []
+
+    def fake_search(cfg, workers):
+        seen.append(cfg)
+        return SearchResult(best=SEVEN_GON_CERTIFICATE, objective=1, certificate=None)
+
+    monkeypatch.setattr(eszk.cli, "search_extremal", fake_search)
+    code, _, _ = run(capsys, ["search", "-n", "7", "-k", "4", "--seed", "1"])
+    assert code == 0
+    assert seen == [SearchConfig(n=7, k=4, seed=1)]
 
 
 def test_search_cli_parallel_identical(capsys, tmp_path):

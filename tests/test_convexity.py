@@ -16,7 +16,10 @@ from eszk import (
 )
 import eszk.convexity
 import eszk.geometry
+from eszk.convexity import ToOneSideWitness, _oracle_fail
+from eszk.geometry import _hull
 from conftest import (
+    det,
     parabola_polygon,
     point_in_hull,
     random_convex_polygon,
@@ -220,10 +223,96 @@ def test_differential_small_sample(rng):
         assert sign_test(P).convex == oracle_test(P).convex
 
 
+def to_one_side_by_determinants(P):
+    # Reference formulation: an edge with distinct ends a, b is to one
+    # side when every vertex's orientation against (a, b) is >= 0 or
+    # every one is <= 0, a repeated point when it lies on a hull side.
+    vs = P.vertices
+    n = len(vs)
+    if len(set(vs)) == 1:
+        return ToOneSideWitness(((1, 0),) * n)
+    a0 = vs[0]
+    b0 = next(v for v in vs if v != a0)
+    if all(det(a0, b0, v) == 0 for v in vs):
+        return ToOneSideWitness(((a0.y - b0.y, b0.x - a0.x),) * n)
+    hull = _hull(vs)
+    sides = list(zip(hull, hull[1:] + hull[:1]))
+    normals = []
+    for j in range(n):
+        a, b = vs[j], vs[(j + 1) % n]
+        if a != b:
+            dets = [det(a, b, v) for v in vs]
+            if all(d >= 0 for d in dets):
+                normals.append((a.y - b.y, b.x - a.x))
+            elif all(d <= 0 for d in dets):
+                normals.append((b.y - a.y, a.x - b.x))
+            else:
+                return None
+        else:
+            for p, q in sides:
+                if det(p, q, a) == 0 and min(p, q) <= a <= max(p, q):
+                    normals.append((p.y - q.y, q.x - p.x))
+                    break
+            else:
+                return None
+    return ToOneSideWitness(tuple(normals))
+
+
+def boundary_question_polygon(rng):
+    # Polygons of dimension 0-2: random, convex in a cyclic shift or
+    # reversed order, then with planted repeats and collinear runs.
+    kind = rng.randrange(5)
+    if kind == 0:
+        P = Polygon([(rng.randint(-3, 3), rng.randint(-3, 3))] * rng.randint(1, 5))
+    elif kind == 1:
+        x, y, dx, dy = (rng.randint(-4, 4) for _ in range(4))
+        P = Polygon((x + t * dx, y + t * dy) for t in (rng.randint(-3, 3) for _ in range(rng.randint(1, 7))))
+    elif kind == 2:
+        P = random_polygon(rng, rng.randint(1, 8), 4)
+    else:
+        P = random_convex_polygon(rng, rng.randint(3, 7), 12)
+    vs = list(P.vertices)
+    if kind >= 3:
+        shift = rng.randrange(len(vs))
+        vs = vs[shift:] + vs[:shift]
+        if rng.random() < 0.5:
+            vs.reverse()
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(vs))
+        if rng.random() < 0.5:
+            vs.insert(i, vs[i])  # a repeated point
+        else:
+            (ax, ay), (bx, by) = vs[i], vs[i - 1]  # a collinear run: an edge's midpoint
+            if (ax + bx) % 2 == 0 and (ay + by) % 2 == 0:
+                vs.insert(i, ((ax + bx) // 2, (ay + by) // 2))
+    if rng.random() < 0.1:
+        rng.shuffle(vs)
+    return Polygon(vs)
+
+
 class TestToOneSide:
     def test_square_inward_normals(self):
         witness = to_one_side(Polygon(SQUARE))
         assert witness.normals == ((0, 1), (-1, 0), (0, -1), (1, 0))
+
+    def test_clockwise_square_inward_normals(self):
+        # each edge runs against its hull side, so b - a is reversed first
+        witness = to_one_side(Polygon(SQUARE[::-1]))
+        assert witness.normals == ((0, -1), (-1, 0), (0, 1), (1, 0))
+
+    def test_matches_determinant_reference(self, rng):
+        kinds = {"witness": 0, "none": 0}
+        for _ in range(20000):
+            P = boundary_question_polygon(rng)
+            witness = to_one_side(P)
+            assert witness == to_one_side_by_determinants(P), P
+            kinds["none" if witness is None else "witness"] += 1
+        assert min(kinds.values()) > 2000, kinds
+
+    def test_none_exactly_when_the_oracle_walk_fails_at_an_edge(self, rng):
+        for _ in range(5000):
+            P = boundary_question_polygon(rng)
+            assert (to_one_side(P) is None) == (type(_oracle_fail(P.vertices)) is int), P
 
     def test_mixed_side_edge(self):
         assert to_one_side(Polygon([(0, 0), (2, 0), (1, 0), (0, 1)])) is None
