@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapabilityError, PreconditionError
-from .geometry import Polygon, _dimension, _hull, _is_strict, _sign_scan, classify
+from .geometry import Polygon, _dimension, _hull, _is_strict, _sign_scan
 
 # Factorial enumeration cap for the permutation census.
 PERMUTATION_LIMIT = 8
@@ -51,42 +51,24 @@ class ToOneSideWitness:
     normals: tuple[tuple[int, int], ...]
 
 
-def _sign_verdict(vs) -> ConvexityVerdict:
-    # The sign scan of vs as a verdict.  "Convex" when every determinant
-    # is nonzero with one sign, which is sound on any input (see
-    # is_convex; for n <= 3 there is at most the one triple (0, 1, 2));
-    # "not convex" is proved only on strict input.
-    fail = _sign_scan(vs)
-    if fail is None:
-        return ConvexityVerdict(True, METHOD_SIGN_TEST)
-    triple, s, ref_triple, ref = fail
-    if s == 0:
-        witness = f"vertex triple {triple} is collinear"
-    else:
-        witness = (
-            f"vertex triple {triple} has orientation {s} "
-            f"but triple {ref_triple} has orientation {ref}"
-        )
-    return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
-
-
 def sign_test(P: Polygon) -> ConvexityVerdict:
     """Minimal orientation-sign convexity test for strict polygons, n >= 4.
 
-    Scans the 3n-8 determinants whose common sign characterizes
-    convexity, stopping at the first mismatch; the witness names the
-    first failing triple.  Raises PreconditionError on non-strict or
-    short input (use oracle_test there).  A convex scan proves
-    strictness (see is_convex), so that answer costs O(n); strictness
-    is checked, in O(n^2) expected time, only on a mismatch.
+    is_convex's sign route: scans the 3n-8 determinants whose common
+    sign characterizes convexity, stopping at the first mismatch; the
+    witness names the first failing triple.  Raises PreconditionError
+    on non-strict or short input, where is_convex takes another route
+    (use oracle_test there).  A convex scan proves strictness (see
+    is_convex), so that answer costs O(n); strictness is checked, in
+    O(n^2) expected time, only on a mismatch.
     """
-    vs = P.vertices
-    verdict = _sign_verdict(vs) if len(vs) >= 4 else None
-    strict = verdict is not None and verdict.convex or _is_strict(vs)
-    if verdict is None or not strict:
+    verdict = is_convex(P)
+    if verdict.method != METHOD_SIGN_TEST:
+        # on n >= 4 every other route means a non-strict polygon
+        vs = P.vertices
         raise PreconditionError(
             f"sign_test needs a strict polygon with n >= 4 "
-            f"(got n={len(vs)}, strict={strict}); use oracle_test instead"
+            f"(got n={len(vs)}, strict={len(vs) <= 3 and _is_strict(vs)}); use oracle_test instead"
         )
     return verdict
 
@@ -186,26 +168,14 @@ def oracle_test(P: Polygon) -> ConvexityVerdict:
     return _oracle_verdict(P.vertices)
 
 
-def _is_convex_vertices(vs) -> ConvexityVerdict:
-    n = len(vs)
-    if n <= 3:
-        return ConvexityVerdict(True, METHOD_SMALL_N)
-    verdict = _sign_verdict(vs)
-    if verdict.convex:
-        return verdict
-    if _dimension(vs) <= 1:
-        return ConvexityVerdict(True, METHOD_DIM_LE_1)
-    if _is_strict(vs):
-        return verdict
-    return _oracle_verdict(vs)
-
-
 def is_convex(P: Polygon) -> ConvexityVerdict:
     """Decide convexity by the cheapest sound route.
 
     n <= 3 and dimension <= 1 polygons are convex; strict polygons with
-    n >= 4 go through sign_test; everything else through oracle_test.
-    Agrees with oracle_test on every input.
+    n >= 4 take the sign route, the verdict sign_test returns; everything
+    else goes through oracle_test.  Agrees with oracle_test on every
+    input.  This is the one place the route is decided: sign_test and
+    convex_permutations read it from the verdict's method.
 
     The 3n-8 sign determinants are scanned first, and when all are
     nonzero with one sign the answer is "convex" by sign_test, in O(n)
@@ -227,7 +197,22 @@ def is_convex(P: Polygon) -> ConvexityVerdict:
     stands only on a strict polygon, and the rest go through
     oracle_test.
     """
-    return _is_convex_vertices(P.vertices)
+    vs = P.vertices
+    if len(vs) <= 3:
+        return ConvexityVerdict(True, METHOD_SMALL_N)
+    fail = _sign_scan(vs)
+    if fail is None:
+        return ConvexityVerdict(True, METHOD_SIGN_TEST)
+    if _dimension(vs) <= 1:
+        return ConvexityVerdict(True, METHOD_DIM_LE_1)
+    if not _is_strict(vs):
+        return _oracle_verdict(vs)
+    # strict, so no determinant vanishes: the scan stopped at a sign change
+    triple, s, ref_triple, ref = fail
+    witness = (
+        f"vertex triple {triple} has orientation {s} but triple {ref_triple} has orientation {ref}"
+    )
+    return ConvexityVerdict(False, METHOD_SIGN_TEST, witness=witness)
 
 
 def _perp_ccw(dx: int, dy: int) -> tuple[int, int]:
@@ -309,18 +294,16 @@ def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:
         raise CapabilityError(
             f"permutation census is factorial and capped at n = {PERMUTATION_LIMIT} (got n = {n})"
         )
-    rep = classify(P)
+    # n, dimension and strictness do not depend on the order, so neither
+    # does is_convex's route: every order is convex on small_n and
+    # dim_le_1, and the others decide each order by the route's bare core
+    # (no verdict or witness per order)
+    method = is_convex(P).method
     perms = itertools.permutations(range(n))
-    if n <= 3 or rep.dimension <= 1:
-        # every reordering keeps n <= 3 / dimension <= 1, hence convex
+    if method in (METHOD_SMALL_N, METHOD_DIM_LE_1):
         hits = list(perms)
     else:
-        # strictness is permutation-invariant: classify once, then decide
-        # each order by the bare sign scan on strict input, the oracle's
-        # core otherwise (no verdict or witness per order)
+        fails = _sign_scan if method == METHOD_SIGN_TEST else _oracle_fail
         vs = P.vertices
-        if rep.strict:
-            hits = [perm for perm in perms if _sign_scan(tuple(vs[i] for i in perm)) is None]
-        else:
-            hits = [perm for perm in perms if _oracle_fail(tuple(vs[i] for i in perm)) is None]
+        hits = [perm for perm in perms if fails(tuple(vs[i] for i in perm)) is None]
     return len(hits), hits

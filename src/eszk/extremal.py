@@ -10,7 +10,6 @@ rests on the optimized code path.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 import random
@@ -465,6 +464,9 @@ def search_extremal(cfg: SearchConfig, workers: int = 1) -> SearchResult:
     if workers == 1:
         outcomes = [_run_restart(cfg, r) for r in range(cfg.restarts)]
     else:
+        # imported here, as it pulls in logging, which no other start-up needs
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(

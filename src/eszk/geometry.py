@@ -49,6 +49,7 @@ def as_point(p) -> Point:
     return Point(_check_coord(x, "x"), _check_coord(y, "y"))
 
 
+@dataclass(frozen=True, slots=True)
 class Polygon:
     """Ordered sequence of at least one integer point.
 
@@ -57,20 +58,13 @@ class Polygon:
     Instances are immutable value objects.
     """
 
-    __slots__ = ("vertices",)
+    vertices: tuple[Point, ...]
 
     def __init__(self, points: Iterable):
         vs = tuple(as_point(p) for p in points)
         if not vs:
             raise InputError("a polygon needs at least one vertex")
         object.__setattr__(self, "vertices", vs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polygon is immutable")
-
-    def __reduce__(self):
-        # bypass slot-state restoration, which the setattr guard blocks
-        return (Polygon, (self.vertices,))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -80,14 +74,6 @@ class Polygon:
 
     def __getitem__(self, i):
         return self.vertices[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, Polygon):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         return "Polygon(%s)" % (list(map(tuple, self.vertices)),)

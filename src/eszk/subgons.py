@@ -45,9 +45,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .convexity import _is_convex_vertices, _oracle_fail
+from .convexity import _oracle_fail
 from .errors import CapabilityError, ExhaustionError, InputError, PreconditionError
-from .geometry import Polygon, perturb_to_strict
+from .geometry import Polygon, _sign_scan, perturb_to_strict
 
 GOOD = "good"
 BAD = "bad"
@@ -349,18 +349,20 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     strictness as it is built (it stops at the first collinear index
     triple).  On a strict polygon the answer is the lexicographically
     least convex subset, from the exhaustive monochromatic DFS over that
-    table (capped at budget nodes); its None is final.  Non-strict
+    table (capped at budget nodes); its None is final, and its hit is
+    checked by the sign scan of is_convex's sign route.  Non-strict
     polygons, those with no table, are perturbed into strict position
-    and searched there by the same DFS, and a hit is re-verified on the
-    original polygon.  When that fails (no hit, a hit that is not convex
-    on the original, or a coordinate of absolute value 10^5 or more,
-    which the perturbation cannot scale) the answer is the first leaf of
-    the exact supporting-line DFS of count_convex_subgons, also capped
-    at budget nodes, so the perturbation is an accelerator, never an
-    authority.  Its leaves of pairwise distinct points are convex as
-    they stand (see count_convex_subgons); one that repeats a point is
-    decided by the oracle.  budget caps DFS nodes only: the O(n^3) sign
-    table is built in full before the DFS starts.
+    and searched there by the same DFS, and a hit is re-checked on the
+    original polygon by the oracle's core, the definition.  When that
+    fails (no hit, a hit that is not convex on the original, or a
+    coordinate of absolute value 10^5 or more, which the perturbation
+    cannot scale) the answer is the first leaf of the exact
+    supporting-line DFS of count_convex_subgons, also capped at budget
+    nodes, so the perturbation is an accelerator, never an authority.
+    Its leaves of pairwise distinct points are convex as they stand (see
+    count_convex_subgons); one that repeats a point is decided by the
+    oracle.  budget caps DFS nodes only: the O(n^3) sign table is built
+    in full before the DFS starts.
     """
     n = len(P)
     if not 1 <= k <= n:
@@ -371,7 +373,7 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     signs = _polygon_signs(vs)
     if signs is not None:
         hit = next(_monochromatic(signs, k, budget), None)
-        if hit is not None and not _is_convex_vertices(tuple(vs[i] for i in hit)).convex:
+        if hit is not None and _sign_scan(tuple(vs[i] for i in hit)) is not None:
             raise RuntimeError(
                 f"internal inconsistency: monochromatic subset {hit} is not a convex sub-{k}-gon"
             )
@@ -383,7 +385,7 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
         hit = next(_monochromatic(_polygon_signs(Q.vertices), k, budget), None)
     except (InputError, ExhaustionError):
         hit = None  # no strict perturbation
-    if hit is not None and _is_convex_vertices(tuple(vs[i] for i in hit)).convex:
+    if hit is not None and _oracle_fail(tuple(vs[i] for i in hit)) is None:
         return hit
 
     # ground truth: the first convex subset of the exact DFS

@@ -1,3 +1,7 @@
+import collections
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,9 +21,10 @@ from eszk import (
 import eszk.convexity
 import eszk.geometry
 from eszk.convexity import ToOneSideWitness, _oracle_fail
-from eszk.geometry import _hull
+from eszk.geometry import _dimension, _hull, _sign_scan
 from conftest import (
     det,
+    is_strict_brute,
     parabola_polygon,
     point_in_hull,
     random_convex_polygon,
@@ -76,7 +81,6 @@ class TestSignTest:
         def fail(*args):
             raise AssertionError("strictness checked on a convex scan")
 
-        monkeypatch.setattr(eszk.convexity, "classify", fail)
         monkeypatch.setattr(eszk.convexity, "_is_strict", fail)
         verdict = sign_test(parabola_polygon(1000))
         assert (verdict.convex, verdict.method) == (True, "sign_test")
@@ -221,6 +225,123 @@ def test_differential_small_sample(rng):
     for _ in range(500):
         P = random_strict_polygon(rng, rng.randint(4, 9), 50)
         assert sign_test(P).convex == oracle_test(P).convex
+
+
+def sign_test_reference(P):
+    # The sign test with its own precondition, as it was written before it
+    # read is_convex's route: the scan's verdict for n >= 4, strictness
+    # checked only on a mismatch.
+    vs = P.vertices
+    verdict = None
+    if len(vs) >= 4:
+        fail = _sign_scan(vs)
+        if fail is None:
+            return ConvexityVerdict(True, "sign_test")
+        triple, s, ref_triple, ref = fail
+        if s == 0:
+            witness = f"vertex triple {triple} is collinear"
+        else:
+            witness = (f"vertex triple {triple} has orientation {s} "
+                       f"but triple {ref_triple} has orientation {ref}")
+        verdict = ConvexityVerdict(False, "sign_test", witness)
+    strict = is_strict_brute(vs)
+    if verdict is None or not strict:
+        raise PreconditionError(
+            f"sign_test needs a strict polygon with n >= 4 "
+            f"(got n={len(vs)}, strict={strict}); use oracle_test instead"
+        )
+    return verdict
+
+
+def is_convex_reference(P):
+    # The dispatch as it was written beside the sign test's own check.
+    vs = P.vertices
+    if len(vs) <= 3:
+        return ConvexityVerdict(True, "small_n")
+    try:
+        verdict = sign_test_reference(P)
+    except PreconditionError:
+        verdict = None
+    if verdict is not None and verdict.convex:
+        return verdict
+    if _dimension(vs) <= 1:
+        return ConvexityVerdict(True, "dim_le_1")
+    return verdict or oracle_test(P)
+
+
+def route_polygon(rng, kind, max_n=7):
+    # One polygon that reaches the route kind of is_convex.
+    if kind == "small_n":
+        return random_polygon(rng, rng.randint(1, 3), rng.choice([1, 3, 50]))
+    n = rng.randint(4, max_n)
+    if kind == "dim_le_1":
+        x, y, dx, dy = (rng.randint(-4, 4) for _ in range(4))
+        return Polygon((x + t * dx, y + t * dy) for t in (rng.randint(-3, 3) for _ in range(n)))
+    if kind == "sign_test":
+        if rng.random() < 0.5:
+            P = random_convex_polygon(rng, n, 30)
+            shift = rng.randrange(n)
+            vs = P.vertices[shift:] + P.vertices[:shift]
+            return Polygon(vs[::-1] if rng.random() < 0.5 else vs)
+        return random_strict_polygon(rng, n, rng.choice([5, 50]))
+    while True:
+        vs = list(random_polygon(rng, n - 1, rng.choice([2, 4, 30])))
+        i = rng.randrange(n - 1)
+        if rng.random() < 0.5:
+            vs.insert(i, vs[i])  # a repeated point
+        else:
+            (ax, ay), (bx, by) = vs[i], vs[i - 1]
+            vs.insert(i, (2 * ax - bx, 2 * ay - by))  # a collinear triple
+        P = Polygon(vs)
+        if _dimension(P.vertices) == 2:
+            return P
+
+
+def outcome(decide, P):
+    try:
+        return decide(P)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_sign_test_differential_against_its_own_precondition():
+    # sign_test reads is_convex's route; the reference decides its
+    # precondition itself.  Verdicts and error texts must match exactly.
+    rng = random.Random(20260418)
+    seen = collections.Counter()
+    for _ in range(5000):
+        for kind in ("small_n", "dim_le_1", "sign_test", "oracle"):
+            P = route_polygon(rng, kind)
+            got = outcome(sign_test, P)
+            assert got == outcome(sign_test_reference, P), P
+            verdict = is_convex(P)
+            assert verdict == is_convex_reference(P), P
+            seen[verdict.method, verdict.convex, got if isinstance(got, str) else "ok"] += 1
+    n3 = "sign_test needs a strict polygon with n >= 4 (got n={}, strict={}); use oracle_test instead"
+    for key in [
+        ("small_n", True, n3.format(3, True)),
+        ("small_n", True, n3.format(3, False)),
+        ("small_n", True, n3.format(1, True)),
+        ("dim_le_1", True, n3.format(4, False)),
+        ("oracle", True, n3.format(5, False)),
+        ("oracle", False, n3.format(5, False)),
+        ("sign_test", True, "ok"),
+        ("sign_test", False, "ok"),
+    ]:
+        assert seen[key] >= 10, (key, seen)
+
+
+@pytest.mark.parametrize("kind", ["small_n", "dim_le_1", "sign_test", "oracle"])
+def test_convex_permutations_lists_the_oracle_convex_orders(rng, kind):
+    for _ in range(6):
+        P = route_polygon(rng, kind, max_n=6)
+        assert is_convex(P).method == kind
+        vs = P.vertices
+        orders = [
+            perm for perm in itertools.permutations(range(len(vs)))
+            if oracle_test(Polygon(vs[i] for i in perm)).convex
+        ]
+        assert convex_permutations(P) == (len(orders), orders)
 
 
 def to_one_side_by_determinants(P):

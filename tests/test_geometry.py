@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +94,10 @@ def test_polygon_is_an_immutable_value():
     assert P == Q and hash(P) == hash(Q)
     assert (P == ((1, 2), (3, 4))) is False
     assert eval(repr(P), {"Polygon": Polygon}) == P
+    assert not hasattr(P, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        R = pickle.loads(pickle.dumps(P, protocol))
+        assert R == P and type(R.vertices[0]) is Point
 
 
 def test_polygon_encoding():

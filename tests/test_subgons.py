@@ -455,6 +455,27 @@ def test_subgon_routes_never_classify(monkeypatch):
     assert triple_coloring(SEVEN_GON_CERTIFICATE).n == 7
 
 
+def test_perturbed_hit_is_rechecked_on_the_original(monkeypatch):
+    # A perturbed search hit that is not convex on the original polygon
+    # must be dropped for the exact DFS's first leaf.  Random non-strict
+    # polygons rarely give such a hit, so the strict DFS is made to
+    # offer one.
+    P = Polygon([(0, 0), (2, 0), (1, 0), (0, 2), (2, 2)])
+    bogus = (0, 1, 2, 3)  # edge 2, from (1, 0) to (0, 2), leaves the hull boundary
+    assert not oracle_test(Polygon(P.vertices[i] for i in bogus)).convex
+    offered = []
+
+    def monochromatic(pos_t, k, budget):
+        offered.append(k)
+        yield bogus
+
+    monkeypatch.setattr(eszk.subgons, "_monochromatic", monochromatic)
+    exact = next(_convex_subsets(P.vertices, 4, math.inf), None)
+    assert exact == (1, 2, 3, 4)
+    assert find_convex_subgon(P, 4) == exact
+    assert offered == [4]
+
+
 def test_oracle_sees_only_supported_subsets(monkeypatch, rng):
     # every subset the DFS sends to the oracle repeats a point and has
     # each edge, the closing edge included, on a supporting line of its
