@@ -17,7 +17,13 @@ from dataclasses import dataclass, replace
 
 from .errors import CapabilityError, InputError, PreconditionError
 from .geometry import COORD_BOUND, Polygon, _is_strict, _sign_triples, _strict_through
-from .subgons import DEFAULT_BUDGET, _polygon_signs, count_convex_subgons, find_convex_subgon
+from .subgons import (
+    DEFAULT_BUDGET,
+    _check_enumeration,
+    _polygon_signs,
+    count_convex_subgons,
+    find_convex_subgon,
+)
 
 # 7 vertices with no convex sub-4-gon among all 35 index subsets
 # (exhaustively verified); witnesses bound >= 8 for k = 4.
@@ -160,8 +166,17 @@ def bounds_for(k: int, certificates=()) -> BoundRecord:
     k <= 3 is exact (every such polygon is convex).  k = 4 carries the
     built-in 7-gon lower bound of 8 and the Ramsey upper bound of 13.
     For k >= 5 the upper bound is only symbolic ("R(k,13;4)"), and the
-    lower bound starts at the trivial k.  Verified certificates from the
-    store raise lower bounds beyond the built-ins.
+    lower bound starts at the trivial k.
+
+    A certificate marked verified lifts the lower bound only after
+    verify_certificate re-verifies its polygon; its bound is then
+    len(polygon) + 1.  Candidates above the built-in bound are tried in
+    descending bound order until one re-verifies, so only the ones the
+    answer needs are checked.  A candidate whose claimed_bound is not
+    len(polygon) + 1, or whose re-verified bound exceeds the exact upper
+    bound, raises InputError.  One that fails re-verification, or is
+    over DEFAULT_BUDGET, is not folded, and lower_provenance names it by
+    its position in certificates.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
@@ -186,21 +201,48 @@ def bounds_for(k: int, certificates=()) -> BoundRecord:
             lower_provenance=f"trivial: a {k - 1}-gon has no sub-{k}-gon",
             symbolic_upper=f"R({k},13;4)",
         )
-    for cert in certificates:
-        if cert.k == k and cert.verified and cert.claimed_bound > record.lower:
-            if record.upper is not None and cert.claimed_bound > record.upper:
-                raise InputError(
-                    f"stored certificate claims bound {cert.claimed_bound} for k={k}, "
-                    f"contradicting the exact upper bound {record.upper}; the store is corrupt"
-                )
-            record = replace(
-                record,
-                lower=cert.claimed_bound,
-                lower_provenance=(
-                    f"verified certificate: {len(cert.polygon)}-gon with no convex sub-{k}-gon"
-                ),
+    candidates = [
+        (i, cert)
+        for i, cert in enumerate(certificates)
+        if cert.k == k and cert.verified and cert.claimed_bound > record.lower
+    ]
+    for i, cert in candidates:
+        if cert.claimed_bound != len(cert.polygon) + 1:
+            raise InputError(
+                f"certificates[{i}] claims bound {cert.claimed_bound} for k={k}, but a "
+                f"{len(cert.polygon)}-gon proves at most {len(cert.polygon) + 1}"
             )
+    skipped = []
+    for i, cert in sorted(candidates, key=lambda ic: -ic[1].claimed_bound):
+        n = len(cert.polygon)
+        try:
+            verified = verify_certificate(cert.polygon, k).verified
+        except CapabilityError as exc:
+            skipped.append(f"certificates[{i}] ({n}-gon) was not re-verified: {exc}")
+            continue
+        if not verified:
+            skipped.append(f"certificates[{i}] ({n}-gon) has a convex sub-{k}-gon")
+            continue
+        if record.upper is not None and n + 1 > record.upper:
+            raise InputError(
+                f"stored certificate claims bound {n + 1} for k={k}, "
+                f"contradicting the exact upper bound {record.upper}; the store is corrupt"
+            )
+        record = replace(
+            record,
+            lower=n + 1,
+            lower_provenance=f"verified certificate: {n}-gon with no convex sub-{k}-gon",
+        )
+        break
+    if skipped:
+        note = "; ".join(skipped)
+        record = replace(record, lower_provenance=f"{record.lower_provenance}; not folded: {note}")
     return record
+
+
+# (k, encoding) of every polygon verify_certificate has found to have no
+# convex sub-k-gon in this process.
+_VERIFIED: set[tuple[int, tuple[int, ...]]] = set()
 
 
 def verify_certificate(P: Polygon, k: int, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -210,8 +252,17 @@ def verify_certificate(P: Polygon, k: int, budget: int = DEFAULT_BUDGET) -> Cert
     must not rest on the optimized path.  Each subset goes through the
     oracle's witness-free core, the walk oracle_test words its verdicts
     from, so the count builds no verdict or witness string per subset.
+    A polygon this process has verified before is not counted again;
+    the budget is checked first either way.
     """
-    count, _ = count_convex_subgons(P, k, budget=budget, oracle_only=True)
+    _check_enumeration(len(P), k, budget)
+    key = (k, P.encoding())
+    if key in _VERIFIED:
+        count = 0
+    else:
+        count, _ = count_convex_subgons(P, k, budget=budget, oracle_only=True)
+        if count == 0:
+            _VERIFIED.add(key)
     return Certificate(
         polygon=P,
         k=k,

@@ -49,7 +49,7 @@ def as_point(p) -> Point:
     return Point(_check_coord(x, "x"), _check_coord(y, "y"))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Polygon:
     """Ordered sequence of at least one integer point.
 
@@ -58,6 +58,9 @@ class Polygon:
     Instances are immutable value objects.
     """
 
+    # Slots written out rather than slots=True, whose rebuilt class makes
+    # the frozen __setattr__ raise TypeError for a name that is not a field.
+    __slots__ = ("vertices",)
     vertices: tuple[Point, ...]
 
     def __init__(self, points: Iterable):
@@ -74,6 +77,9 @@ class Polygon:
 
     def __getitem__(self, i):
         return self.vertices[i]
+
+    def __reduce__(self):  # unpickling must not go through the frozen __setattr__
+        return Polygon, (self.vertices,)
 
     def __repr__(self):
         return "Polygon(%s)" % (list(map(tuple, self.vertices)),)

@@ -5,15 +5,23 @@ certificate, so a fresh store already backs the k = 4 lower bound of 8.
 The environment variable ESZK_STORE overrides the default path; an
 explicit path overrides both.
 
-The file is one JSON document with one certificate record per line.
-An append still parses the whole file, since its duplicate check reads
-every record's key, but encodes only the new record: a file in that
-layout keeps its bytes and gains one line before the closing "]}".  A
-file in any other layout (an older indented store, say) is encoded
-whole.  Either way the new text goes through an fsynced temp file
-renamed into place; on POSIX, appends to stores in one directory are
-serialized by an exclusive flock on that directory.  An I/O failure
-raises InputError naming the store.
+The file is one JSON document with one certificate record per line.  An
+append encodes only the new record: a file in that layout keeps its
+bytes and gains one line before the closing "]}".  A file in any other
+layout (an older indented store, say) is encoded whole.  Either way the
+new text goes through an fsynced temp file renamed into place; on POSIX,
+appends to stores in one directory are serialized by an exclusive flock
+on that directory.  An I/O failure raises InputError naming the store.
+
+Each call reads the whole file, but the process does not parse again
+the text it last read or wrote.  It keeps that text with each record's
+dedupe key, whether the text is in the one-record-per-line layout and,
+once a load has built them, its certificates.  Everything kept is a
+function of the text alone, so a call uses it only when the text it has
+just read (under the flock, for an append) equals the kept text; any
+other text (another store, a write by another process, an edit) is
+parsed in full.  A failure is never kept: a malformed store raises the
+same InputError on every call.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from dataclasses import dataclass, replace
 
 try:
     import fcntl
@@ -45,23 +54,26 @@ def _seed_records() -> list[dict]:
     return [cert.to_dict()]
 
 
-def _read(path: str) -> tuple[str, dict]:
-    # The store's text, read as stored (no newline translation), and the
-    # document it holds.
+def _read_text(path: str) -> str:
+    # The store's text, read as stored (no newline translation).
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
+
+
+def _document(path: str, text: str) -> dict:
+    # The store document the text holds.
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"store file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
         raise InputError(f"store file {path} has no certificate list")
-    return text, data
+    return data
 
 
 _TAIL = "\n]}\n"
@@ -76,17 +88,78 @@ def _encode(data: dict) -> str:
     return f"{head}\n{records}{_TAIL}"
 
 
-def _appended(text: str, data: dict, record: dict) -> str:
-    # The store text with record appended to its certificate list.  Text
-    # in the layout _encode writes keeps its bytes and gains one line:
-    # when the list is the last key (of a document without repeated
-    # keys) and non-empty, and the text ends in "\n]}\n", that "]"
-    # closes the list and the text before the "\n" ends with its last
-    # record.  Any other text is encoded whole.
-    certs = data["certificates"]
-    if certs and text.endswith(_TAIL) and next(reversed(data)) == "certificates":
-        return f"{text[:-len(_TAIL)]},\n{json.dumps(record)}{_TAIL}"
-    certs.append(record)
+def _dedupe_key(record):
+    return record["k"], [list(v) for v in record["vertices"]]
+
+
+def _certificates(path: str, records: list) -> tuple[Certificate, ...]:
+    certs = []
+    for i, rec in enumerate(records):
+        try:
+            certs.append(Certificate.from_dict(rec))
+        except InputError as exc:
+            raise InputError(f"store file {path}, certificates[{i}]: {exc}") from exc
+    return tuple(certs)
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    """A store text with what this process derived from it: each
+    record's dedupe key, whether the text is in the layout _encode
+    writes (so an append can add one line) and, once a load has built
+    them, the records' certificates.  A snapshot is never changed; a
+    new one replaces it."""
+
+    text: str
+    keys: tuple
+    appendable: bool
+    certs: tuple[Certificate, ...] | None = None
+
+
+_last: _Snapshot | None = None  # the last store text this process read or wrote
+
+
+def _snapshot(path: str, text: str, with_certs: bool) -> _Snapshot:
+    # The snapshot of text, parsed unless it is the last one.  A record
+    # without a (k, vertices) key raises InputError naming its position;
+    # with_certs builds the certificates first, so a load reports a
+    # malformed record as Certificate.from_dict words it.
+    global _last
+    snap = _last
+    if snap is None or snap.text != text:
+        data = _document(path, text)
+        records = data["certificates"]
+        certs = _certificates(path, records) if with_certs else None
+        keys = []
+        for i, rec in enumerate(records):
+            try:
+                keys.append(_dedupe_key(rec))
+            except (KeyError, TypeError) as exc:
+                raise InputError(
+                    f"store file {path}, certificates[{i}]: malformed certificate record "
+                    f"(no k and vertices): {exc!r}"
+                ) from exc
+        # The layout _encode writes: the list is the last key (of a
+        # document without repeated keys) and non-empty, and the text
+        # ends in "\n]}\n", so that "]" closes the list and the text
+        # before the "\n" ends with its last record.
+        appendable = (
+            bool(records) and text.endswith(_TAIL) and next(reversed(data)) == "certificates"
+        )
+        snap = _Snapshot(text, tuple(keys), appendable, certs)
+    elif with_certs and snap.certs is None:
+        snap = replace(snap, certs=_certificates(path, json.loads(text)["certificates"]))
+    _last = snap
+    return snap
+
+
+def _appended(snap: _Snapshot, record: dict) -> str:
+    # The store text with record appended to its certificate list: one
+    # more line for text in the layout _encode writes, else encoded whole.
+    if snap.appendable:
+        return f"{snap.text[:-len(_TAIL)]},\n{json.dumps(record)}{_TAIL}"
+    data = json.loads(snap.text)
+    data["certificates"].append(record)
     return _encode(data)
 
 
@@ -124,21 +197,11 @@ def _writers_serialized(path: str):
 def load_certificates(path: str | None = None) -> list[Certificate]:
     """Certificates from the store; an absent file is an empty store.
     A malformed record raises InputError naming the store and its
-    position, certificates[i]."""
+    position, certificates[i].  The list is the caller's own."""
     path = resolve_store_path(path)
     if not os.path.exists(path):
         return []
-    certs = []
-    for i, rec in enumerate(_read(path)[1]["certificates"]):
-        try:
-            certs.append(Certificate.from_dict(rec))
-        except InputError as exc:
-            raise InputError(f"store file {path}, certificates[{i}]: {exc}") from exc
-    return certs
-
-
-def _dedupe_key(record):
-    return record["k"], [list(v) for v in record["vertices"]]
+    return list(_snapshot(path, _read_text(path), with_certs=True).certs)
 
 
 def add_certificate(cert: Certificate, path: str | None = None) -> bool:
@@ -151,6 +214,7 @@ def add_certificate(cert: Certificate, path: str | None = None) -> bool:
     certificates[i].  Appends are serialized on POSIX (see the module
     docstring), and an I/O failure raises InputError.
     """
+    global _last
     path = resolve_store_path(path)
     record = cert.to_dict()
     key = _dedupe_key(record)
@@ -158,22 +222,26 @@ def add_certificate(cert: Certificate, path: str | None = None) -> bool:
         with _writers_serialized(path):
             created = not os.path.exists(path)
             if created:
-                text, data = "", {"version": 1, "certificates": _seed_records()}
+                seed = _seed_records()
+                text = _encode({"version": 1, "certificates": seed})
+                snap = _Snapshot(text, tuple(map(_dedupe_key, seed)), appendable=True)
             else:
-                text, data = _read(path)
-            added = True
-            for i, existing in enumerate(data["certificates"]):
-                try:
-                    added &= _dedupe_key(existing) != key
-                except (KeyError, TypeError) as exc:
-                    raise InputError(
-                        f"store file {path}, certificates[{i}]: malformed certificate record "
-                        f"(no k and vertices): {exc!r}"
-                    ) from exc
+                snap = _snapshot(path, _read_text(path), with_certs=False)
+            added = key not in snap.keys
             if added:
-                _write(path, _appended(text, data, record))
+                text = _appended(snap, record)
+                certs = snap.certs
+                if certs is not None:
+                    try:
+                        certs += (Certificate.from_dict(record),)
+                    except InputError:  # a bad record: the next load reports it
+                        certs = None
+                _write(path, text)
+                # Only now that the text is stored does the snapshot become it.
+                _last = _Snapshot(text, snap.keys + (key,), True, certs)
             elif created:
-                _write(path, _encode(data))
+                _write(path, snap.text)
+                _last = snap
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     return added

@@ -169,6 +169,22 @@ def test_bounds_env_store(capsys, tmp_path, monkeypatch):
     assert code == 0 and report_of(out)["result"]["lower"] == 8
 
 
+def test_bounds_do_not_fold_a_forged_record(capsys, tmp_path):
+    # every sub-5-gon of the parabola 10-gon is convex, whatever the record says
+    store = tmp_path / "forged.json"
+    record = {"k": 5, "vertices": [[x, x * x] for x in range(10)], "claimed_bound": 11,
+              "verified": True, "subgon_total": 252}
+    store.write_text(json.dumps({"version": 1, "certificates": [record]}))
+    code, out, _ = run(capsys, ["bounds", "-k", "5", "--store", str(store)])
+    assert code == 0
+    result = report_of(out)["result"]
+    assert result["lower"] == 5
+    assert result["lower_provenance"] == (
+        "trivial: a 4-gon has no sub-5-gon; not folded: certificates[0] (10-gon) has a convex "
+        "sub-5-gon"
+    )
+
+
 def test_bounds_rejects_record_with_k_above_n(capsys, tmp_path):
     store = tmp_path / "forged.json"
     record = {"k": 5, "vertices": [[0, 0], [1, 0], [0, 1]], "claimed_bound": 99,

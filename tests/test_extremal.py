@@ -1,4 +1,6 @@
 import concurrent.futures
+import json
+import math
 import random
 import time
 
@@ -20,6 +22,7 @@ from eszk import (
     verify_certificate,
 )
 import eszk.extremal
+from eszk.store import load_certificates
 from eszk.extremal import _moves, _run_restart, _sample_strict, _SubgonCounter
 
 
@@ -50,7 +53,8 @@ class TestBounds:
         fake_nine = Certificate(
             polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=10, verified=True, subgon_total=35
         )
-        assert bounds_for(4, [fake_nine]).lower == 10
+        with pytest.raises(InputError, match=r"certificates\[1\] claims bound 10 for k=4"):
+            bounds_for(4, [cert, fake_nine])
         unverified = Certificate(
             polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=99, verified=False, subgon_total=35
         )
@@ -59,6 +63,42 @@ class TestBounds:
     def test_no_numeric_upper_beyond_four(self):
         for k in (5, 6, 9):
             assert bounds_for(k).upper is None
+
+    def test_only_re_verified_certificates_are_folded(self, monkeypatch):
+        # Tried in descending bound order: the parabola 10-gon fails, the
+        # 7-gon folds, and the 5-gon below it is never re-verified.
+        def claim(P):
+            n = len(P)
+            return Certificate(polygon=P, k=5, claimed_bound=n + 1, verified=True,
+                               subgon_total=math.comb(n, 5))
+
+        parabola = Polygon((x, x * x) for x in range(10))
+        five = Polygon(SEVEN_GON_CERTIFICATE.vertices[:5])
+        checked = []
+        verify = eszk.extremal.verify_certificate
+        monkeypatch.setattr(eszk.extremal, "verify_certificate",
+                            lambda P, k: checked.append(len(P)) or verify(P, k))
+        record = bounds_for(5, [claim(five), claim(SEVEN_GON_CERTIFICATE), claim(parabola)])
+        assert checked == [10, 7]
+        assert record.lower == 8
+        assert record.lower_provenance == (
+            "verified certificate: 7-gon with no convex sub-5-gon; "
+            "not folded: certificates[2] (10-gon) has a convex sub-5-gon"
+        )
+        assert bounds_for(5, [claim(five)]).lower_provenance == (
+            "verified certificate: 5-gon with no convex sub-5-gon"
+        )
+
+    def test_over_budget_certificate_is_not_folded(self):
+        P = Polygon((x, x * x) for x in range(70))  # C(70, 5) = 12,103,014 subsets
+        cert = Certificate(polygon=P, k=5, claimed_bound=71, verified=True,
+                           subgon_total=math.comb(70, 5))
+        record = bounds_for(5, [cert])
+        assert record.lower == 5
+        assert record.lower_provenance == (
+            "trivial: a 4-gon has no sub-5-gon; not folded: certificates[0] (70-gon) was not "
+            "re-verified: C(70,5) = 12103014 subsets exceed the budget 10000000"
+        )
 
     def test_contradictory_certificate_rejected(self):
         impossible = Certificate(
@@ -69,6 +109,37 @@ class TestBounds:
 
 
 class TestVerifyCertificate:
+    def test_a_verified_polygon_is_not_counted_again(self, monkeypatch, unit_square):
+        P = Polygon((x + 1000, y + 1000) for x, y in SEVEN_GON_CERTIFICATE.vertices)
+        first = verify_certificate(P, 4)
+        assert first.verified
+        calls = []
+        count = eszk.extremal.count_convex_subgons
+        monkeypatch.setattr(eszk.extremal, "count_convex_subgons",
+                            lambda *args, **kwargs: calls.append(args[0]) or count(*args, **kwargs))
+        assert verify_certificate(P, 4) == first
+        assert verify_certificate(Polygon(P.vertices), 4) == first
+        assert calls == []
+        # the budget is checked before the memo; failures are not kept
+        with pytest.raises(CapabilityError):
+            verify_certificate(P, 4, budget=34)
+        assert not verify_certificate(unit_square, 4).verified
+        assert not verify_certificate(unit_square, 4).verified
+        assert calls == [unit_square, unit_square]
+        assert verify_certificate(P, 5).verified
+        assert calls[-1] == P
+
+    def test_loaded_records_are_not_taken_as_verified(self, tmp_path):
+        # a store record's verified flag never enters the memo
+        P = Polygon((x + 1000, y - 1000) for x, y in SEVEN_GON_CERTIFICATE.vertices)
+        record = Certificate(P, 4, 8, True, 35).to_dict()
+        store = tmp_path / "s.json"
+        store.write_text(json.dumps({"version": 1, "certificates": [record]}))
+        before = set(eszk.extremal._VERIFIED)
+        assert load_certificates(str(store))[0].verified
+        assert eszk.extremal._VERIFIED == before
+        assert (4, P.encoding()) not in before
+
     def test_seven_gon(self):
         cert = verify_certificate(SEVEN_GON_CERTIFICATE, 4)
         assert cert.verified

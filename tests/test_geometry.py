@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pickle
 
@@ -98,6 +99,17 @@ def test_polygon_is_an_immutable_value():
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         R = pickle.loads(pickle.dumps(P, protocol))
         assert R == P and type(R.vertices[0]) is Point
+
+
+def test_polygon_assignment_raises_frozen_instance_error():
+    P = Polygon([(0, 0)])
+    for name in ("vertices", "foo"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(P, name, 1)
+    assert P.vertices == ((0, 0),)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        R = pickle.loads(pickle.dumps(P, protocol))
+        assert R == P and type(R) is Polygon and type(R.vertices[0]) is Point
 
 
 def test_polygon_encoding():

@@ -5,7 +5,14 @@ import os
 
 import pytest
 
-from eszk import InputError, Polygon, SEVEN_GON_CERTIFICATE, bounds_for, verify_certificate
+from eszk import (
+    Certificate,
+    InputError,
+    Polygon,
+    SEVEN_GON_CERTIFICATE,
+    bounds_for,
+    verify_certificate,
+)
 import eszk.store
 from eszk.store import add_certificate, load_certificates, resolve_store_path
 
@@ -135,6 +142,10 @@ def test_crash_mid_write_keeps_previous_store(tmp_path, monkeypatch, seven_gon, 
     assert written and written[0] > 0
     assert load_certificates(store) == before
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+    # the process kept the stored text, not the one it failed to write
+    cert = verify_certificate(Polygon(seven_gon.vertices[:6]), 4)
+    assert add_certificate(cert, store)
+    assert load_certificates(store) == before + [cert]
 
 
 def _stored_dict(certs):
@@ -270,16 +281,22 @@ def test_indented_store_loads_and_is_rewritten_on_append(tmp_path, seven_gon):
     assert len(store.read_text().splitlines()) == len(expected["certificates"]) + 2
 
 
-def _append_translates(store, first):
-    certs = [verify_certificate(Polygon((x + i, y) for x, y in SEVEN_GON_CERTIFICATE.vertices), 4)
-             for i in range(first, first + 20)]
+def _translate(dx):
+    return verify_certificate(Polygon((x + dx, y) for x, y in SEVEN_GON_CERTIFICATE.vertices), 4)
+
+
+def _append_translates(store, first, count=20):
+    certs = [_translate(dx) for dx in range(first, first + count)]
     for cert in certs:
         assert add_certificate(cert, store)
 
 
 @pytest.mark.skipif(eszk.store.fcntl is None, reason="writers are serialized on POSIX only")
 def test_concurrent_writers_lose_no_record(tmp_path):
+    # The parent appends first, so the forked writers start out holding
+    # its text; none of them, nor the parent, may miss another's records.
     store = str(tmp_path / "s.json")
+    _append_translates(store, 41, 1)
     ctx = multiprocessing.get_context("fork")
     writers = [ctx.Process(target=_append_translates, args=(store, first)) for first in (1, 21)]
     for w in writers:
@@ -287,10 +304,97 @@ def test_concurrent_writers_lose_no_record(tmp_path):
     for w in writers:
         w.join()
     assert [w.exitcode for w in writers] == [0, 0]
+    _append_translates(store, 42, 1)
     certs = load_certificates(store)
-    assert len(certs) == 41
-    assert {c.polygon.vertices[0].x for c in certs} == set(range(-13, -13 + 41))
+    assert len(certs) == 43
+    assert {c.polygon.vertices[0].x for c in certs} == set(range(-13, -13 + 43))
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+def test_an_unchanged_store_is_parsed_once(tmp_path, monkeypatch):
+    store = str(tmp_path / "s.json")
+    assert add_certificate(_translate(1), store)
+    certs = load_certificates(store)
+    new = _translate(2)
+    from_dict = Certificate.from_dict
+    built = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the store text was parsed again")
+
+    def only_the_new_record(cls, record):
+        assert record == new.to_dict(), "a stored record was built again"
+        built.append(record)
+        return from_dict(record)
+
+    monkeypatch.setattr(eszk.store.json, "loads", refuse)
+    monkeypatch.setattr(Certificate, "from_dict", classmethod(only_the_new_record))
+    assert load_certificates(store) == certs
+    assert not add_certificate(_translate(1), store)
+    assert built == []
+    # an append builds its own record's certificate and nothing else
+    assert add_certificate(new, store)
+    assert built == [new.to_dict()]
+    assert load_certificates(store) == certs + [new]
+
+
+def test_a_rewritten_store_is_parsed_again(tmp_path):
+    # Same byte length and the old mtime: only the text tells the stores apart.
+    store = tmp_path / "s.json"
+    old, new = _translate(1), _translate(2)
+    assert add_certificate(old, str(store))
+    assert load_certificates(str(store))[1] == old
+    text = store.read_text()
+    stat = os.stat(store)
+    line = json.dumps(old.to_dict())
+    store.write_text(text.replace(line, json.dumps(new.to_dict())))
+    os.utime(store, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(store).st_size == stat.st_size
+    assert os.stat(store).st_mtime_ns == stat.st_mtime_ns
+    assert load_certificates(str(store))[1] == new
+    assert not add_certificate(new, str(store))
+    assert add_certificate(old, str(store))
+    assert load_certificates(str(store))[1:] == [new, old]
+
+
+def test_loaded_list_is_the_callers(tmp_path):
+    store = str(tmp_path / "s.json")
+    assert add_certificate(_translate(1), store)
+    certs = load_certificates(store)
+    expected = list(certs)
+    certs.clear()
+    assert load_certificates(store) == expected
+    load_certificates(store).append(_translate(2))
+    assert load_certificates(store) == expected
+
+
+def test_a_bad_record_raises_on_every_load(tmp_path):
+    # The record has a dedupe key, so appends go on, but no certificate:
+    # every load reports it, before and after an append.
+    good = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
+    bad = dict(_translate(1).to_dict(), verified="false")
+    store = tmp_path / "s.json"
+    store.write_text(eszk.store._encode({"version": 1, "certificates": [good, bad]}))
+    messages = []
+    for append in (False, False, True, False):
+        if append:
+            assert add_certificate(_translate(2), str(store))
+        with pytest.raises(InputError) as info:
+            load_certificates(str(store))
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert f"store file {store}, certificates[1]: " in messages[0]
+
+
+def test_an_appended_record_that_does_not_load_is_reported(tmp_path):
+    store = str(tmp_path / "s.json")
+    assert add_certificate(_translate(1), store)
+    assert len(load_certificates(store)) == 2
+    cert = _translate(2)
+    wrong_total = Certificate(cert.polygon, cert.k, cert.claimed_bound, True, subgon_total=1)
+    assert add_certificate(wrong_total, store)
+    with pytest.raises(InputError, match=r"certificates\[2\]: .*subgon_total = 1"):
+        load_certificates(store)
 
 
 def test_resolve_precedence(monkeypatch):
