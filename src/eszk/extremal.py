@@ -17,13 +17,7 @@ from dataclasses import dataclass, replace
 
 from .errors import CapabilityError, InputError, PreconditionError
 from .geometry import COORD_BOUND, Polygon, _is_strict, _sign_triples, _strict_through
-from .subgons import (
-    DEFAULT_BUDGET,
-    _check_enumeration,
-    _polygon_signs,
-    count_convex_subgons,
-    find_convex_subgon,
-)
+from .subgons import DEFAULT_BUDGET, _polygon_signs, count_convex_subgons, find_convex_subgon
 
 # 7 vertices with no convex sub-4-gon among all 35 index subsets
 # (exhaustively verified); witnesses bound >= 8 for k = 4.
@@ -240,11 +234,6 @@ def bounds_for(k: int, certificates=()) -> BoundRecord:
     return record
 
 
-# (k, encoding) of every polygon verify_certificate has found to have no
-# convex sub-k-gon in this process.
-_VERIFIED: set[tuple[int, tuple[int, ...]]] = set()
-
-
 def verify_certificate(P: Polygon, k: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Exhaustively test every sub-k-gon with the definition-level oracle.
 
@@ -252,17 +241,8 @@ def verify_certificate(P: Polygon, k: int, budget: int = DEFAULT_BUDGET) -> Cert
     must not rest on the optimized path.  Each subset goes through the
     oracle's witness-free core, the walk oracle_test words its verdicts
     from, so the count builds no verdict or witness string per subset.
-    A polygon this process has verified before is not counted again;
-    the budget is checked first either way.
     """
-    _check_enumeration(len(P), k, budget)
-    key = (k, P.encoding())
-    if key in _VERIFIED:
-        count = 0
-    else:
-        count, _ = count_convex_subgons(P, k, budget=budget, oracle_only=True)
-        if count == 0:
-            _VERIFIED.add(key)
+    count, _ = count_convex_subgons(P, k, budget=budget, oracle_only=True)
     return Certificate(
         polygon=P,
         k=k,

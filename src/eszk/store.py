@@ -21,7 +21,8 @@ function of the text alone, so a call uses it only when the text it has
 just read (under the flock, for an append) equals the kept text; any
 other text (another store, a write by another process, an edit) is
 parsed in full.  A failure is never kept: a malformed store raises the
-same InputError on every call.
+same InputError on every call.  Only a process that makes several store
+calls in a row gains; a single CLI command makes one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 try:
     import fcntl
@@ -120,13 +121,14 @@ _last: _Snapshot | None = None  # the last store text this process read or wrote
 
 
 def _snapshot(path: str, text: str, with_certs: bool) -> _Snapshot:
-    # The snapshot of text, parsed unless it is the last one.  A record
-    # without a (k, vertices) key raises InputError naming its position;
-    # with_certs builds the certificates first, so a load reports a
-    # malformed record as Certificate.from_dict words it.
+    # The snapshot of text, parsed unless it is the last one and holds
+    # certificates if with_certs asks for them.  A record without a
+    # (k, vertices) key raises InputError naming its position; with_certs
+    # builds the certificates first, so a load reports a malformed record
+    # as Certificate.from_dict words it.
     global _last
     snap = _last
-    if snap is None or snap.text != text:
+    if snap is None or snap.text != text or (with_certs and snap.certs is None):
         data = _document(path, text)
         records = data["certificates"]
         certs = _certificates(path, records) if with_certs else None
@@ -147,8 +149,6 @@ def _snapshot(path: str, text: str, with_certs: bool) -> _Snapshot:
             bool(records) and text.endswith(_TAIL) and next(reversed(data)) == "certificates"
         )
         snap = _Snapshot(text, tuple(keys), appendable, certs)
-    elif with_certs and snap.certs is None:
-        snap = replace(snap, certs=_certificates(path, json.loads(text)["certificates"]))
     _last = snap
     return snap
 

@@ -291,16 +291,6 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
     return hit and (hit, GOOD if colors[hit[:3]] == GOOD else BAD)
 
 
-def _check_enumeration(n: int, k: int, budget: int) -> None:
-    # An exhaustive pass over the sub-k-gons of an n-gon needs 1 <= k <= n
-    # and C(n, k) within the budget.
-    if not 1 <= k <= n:
-        raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    total = math.comb(n, k)
-    if total > budget:
-        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
-
-
 def count_convex_subgons(
     P: Polygon,
     k: int,
@@ -330,7 +320,11 @@ def count_convex_subgons(
     that mode.
     """
     n = len(P)
-    _check_enumeration(n, k, budget)
+    if not 1 <= k <= n:
+        raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    total = math.comb(n, k)
+    if total > budget:
+        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
     vs = P.vertices
     if oracle_only:
         hits = (

@@ -1,8 +1,8 @@
 import concurrent.futures
-import json
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +22,6 @@ from eszk import (
     verify_certificate,
 )
 import eszk.extremal
-from eszk.store import load_certificates
 from eszk.extremal import _moves, _run_restart, _sample_strict, _SubgonCounter
 
 
@@ -104,42 +103,22 @@ class TestBounds:
         impossible = Certificate(
             polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=14, verified=True, subgon_total=35
         )
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"certificates\[0\] claims bound 14 for k=4, but"):
             bounds_for(4, [impossible])
+
+    def test_re_verified_bound_above_the_upper_bound_rejected(self, monkeypatch):
+        # no 13-gon lacks a convex sub-4-gon, so only a wrong oracle verdict
+        # reaches this check
+        P = Polygon((x, x * x) for x in range(13))
+        cert = Certificate(polygon=P, k=4, claimed_bound=14, verified=True,
+                           subgon_total=math.comb(13, 4))
+        monkeypatch.setattr(eszk.extremal, "verify_certificate",
+                            lambda P, k: replace(cert, polygon=P, k=k))
+        with pytest.raises(InputError, match="contradicting the exact upper bound 13"):
+            bounds_for(4, [cert])
 
 
 class TestVerifyCertificate:
-    def test_a_verified_polygon_is_not_counted_again(self, monkeypatch, unit_square):
-        P = Polygon((x + 1000, y + 1000) for x, y in SEVEN_GON_CERTIFICATE.vertices)
-        first = verify_certificate(P, 4)
-        assert first.verified
-        calls = []
-        count = eszk.extremal.count_convex_subgons
-        monkeypatch.setattr(eszk.extremal, "count_convex_subgons",
-                            lambda *args, **kwargs: calls.append(args[0]) or count(*args, **kwargs))
-        assert verify_certificate(P, 4) == first
-        assert verify_certificate(Polygon(P.vertices), 4) == first
-        assert calls == []
-        # the budget is checked before the memo; failures are not kept
-        with pytest.raises(CapabilityError):
-            verify_certificate(P, 4, budget=34)
-        assert not verify_certificate(unit_square, 4).verified
-        assert not verify_certificate(unit_square, 4).verified
-        assert calls == [unit_square, unit_square]
-        assert verify_certificate(P, 5).verified
-        assert calls[-1] == P
-
-    def test_loaded_records_are_not_taken_as_verified(self, tmp_path):
-        # a store record's verified flag never enters the memo
-        P = Polygon((x + 1000, y - 1000) for x, y in SEVEN_GON_CERTIFICATE.vertices)
-        record = Certificate(P, 4, 8, True, 35).to_dict()
-        store = tmp_path / "s.json"
-        store.write_text(json.dumps({"version": 1, "certificates": [record]}))
-        before = set(eszk.extremal._VERIFIED)
-        assert load_certificates(str(store))[0].verified
-        assert eszk.extremal._VERIFIED == before
-        assert (4, P.encoding()) not in before
-
     def test_seven_gon(self):
         cert = verify_certificate(SEVEN_GON_CERTIFICATE, 4)
         assert cert.verified
