@@ -17,7 +17,14 @@ from dataclasses import dataclass, replace
 
 from .errors import CapabilityError, InputError, PreconditionError
 from .geometry import COORD_BOUND, Polygon, _is_strict, _sign_triples, _strict_through
-from .subgons import DEFAULT_BUDGET, _polygon_signs, count_convex_subgons, find_convex_subgon
+from .subgons import (
+    DEFAULT_BUDGET,
+    _oracle_convex,
+    _polygon_signs,
+    _subset_total,
+    count_convex_subgons,
+    find_convex_subgon,
+)
 
 # 7 vertices with no convex sub-4-gon among all 35 index subsets
 # (exhaustively verified); witnesses bound >= 8 for k = 4.
@@ -44,13 +51,31 @@ class BoundRecord:
 class Certificate:
     """Exhaustive non-convexity record: verified means every one of the
     C(n, k) sub-k-gons failed the definition-level convexity oracle,
-    proving the bound claimed_bound = n + 1."""
+    proving the bound claimed_bound = n + 1.  The constructor, so
+    dataclasses.replace too, raises InputError unless k is an int in
+    1..n, verified a bool, claimed_bound n + 1 and subgon_total C(n, k):
+    no reader of a certificate checks these again."""
 
     polygon: Polygon
     k: int
     claimed_bound: int
     verified: bool
     subgon_total: int
+
+    def __post_init__(self):
+        n, k, bound, total = len(self.polygon), self.k, self.claimed_bound, self.subgon_total
+        if type(k) is not int:
+            raise InputError(f"k = {k!r} is not an integer")
+        if type(self.verified) is not bool:
+            raise InputError(f"verified = {self.verified!r} is not true or false")
+        if k > n:
+            raise InputError(f"k = {k} exceeds n = {n}")
+        if k < 1:
+            raise InputError(f"k = {k} is below 1")
+        if type(bound) is not int or bound != n + 1:
+            raise InputError(f"claimed_bound = {bound!r} is not n + 1 = {n + 1}")
+        if type(total) is not int or total != math.comb(n, k):
+            raise InputError(f"subgon_total = {total!r} is not C({n}, {k}) = {math.comb(n, k)}")
 
     def to_dict(self) -> dict:
         return {
@@ -63,41 +88,19 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
-        """Rebuild a record.  The bound is derived as n + 1, never read
-        from the record; a record with k outside 1..n, or whose
-        subgon_total is not the integer C(n, k), is rejected."""
+        """Rebuild a record, parsing only: the bound is n + 1, never read
+        from the record, and the constructor's InputError gains the
+        prefix "malformed certificate record: "."""
         try:
             polygon = Polygon(tuple(v) for v in d["vertices"])
-            k = d["k"]
-            verified = d["verified"]
-            subgon_total = d["subgon_total"]
+            k, verified, subgon_total = d["k"], d["verified"], d["subgon_total"]
             int(subgon_total)  # a non-numeric value fails here with int()'s message
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate record: {exc}") from exc
-        if type(k) is not int:
-            raise InputError(f"malformed certificate record: k = {k!r} is not an integer")
-        if type(verified) is not bool:
-            raise InputError(
-                f"malformed certificate record: verified = {verified!r} is not true or false"
-            )
-        n = len(polygon)
-        if k > n:
-            raise InputError(f"malformed certificate record: k = {k} exceeds n = {n}")
-        if k < 1:
-            raise InputError(f"malformed certificate record: k = {k} is below 1")
-        total = math.comb(n, k)
-        if type(subgon_total) is not int or subgon_total != total:
-            raise InputError(
-                f"malformed certificate record: subgon_total = {subgon_total!r} "
-                f"is not C({n}, {k}) = {total}"
-            )
-        return cls(
-            polygon=polygon,
-            k=k,
-            claimed_bound=n + 1,
-            verified=verified,
-            subgon_total=subgon_total,
-        )
+        try:
+            return cls(polygon, k, len(polygon) + 1, verified, subgon_total)
+        except InputError as exc:
+            raise InputError(f"malformed certificate record: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -164,13 +167,13 @@ def bounds_for(k: int, certificates=()) -> BoundRecord:
 
     A certificate marked verified lifts the lower bound only after
     verify_certificate re-verifies its polygon; its bound is then
-    len(polygon) + 1.  Candidates above the built-in bound are tried in
+    len(polygon) + 1, the claimed_bound the Certificate constructor
+    checked.  Candidates above the built-in bound are tried in
     descending bound order until one re-verifies, so only the ones the
-    answer needs are checked.  A candidate whose claimed_bound is not
-    len(polygon) + 1, or whose re-verified bound exceeds the exact upper
-    bound, raises InputError.  One that fails re-verification, or is
-    over DEFAULT_BUDGET, is not folded, and lower_provenance names it by
-    its position in certificates.
+    answer needs are checked.  A candidate whose re-verified bound
+    exceeds the exact upper bound raises InputError.  One that fails
+    re-verification, or is over DEFAULT_BUDGET, is not folded, and
+    lower_provenance names it by its position in certificates.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
@@ -195,19 +198,13 @@ def bounds_for(k: int, certificates=()) -> BoundRecord:
             lower_provenance=f"trivial: a {k - 1}-gon has no sub-{k}-gon",
             symbolic_upper=f"R({k},13;4)",
         )
-    candidates = [
-        (i, cert)
-        for i, cert in enumerate(certificates)
-        if cert.k == k and cert.verified and cert.claimed_bound > record.lower
-    ]
-    for i, cert in candidates:
-        if cert.claimed_bound != len(cert.polygon) + 1:
-            raise InputError(
-                f"certificates[{i}] claims bound {cert.claimed_bound} for k={k}, but a "
-                f"{len(cert.polygon)}-gon proves at most {len(cert.polygon) + 1}"
-            )
+    candidates = sorted(
+        ((i, cert) for i, cert in enumerate(certificates)
+         if cert.k == k and cert.verified and cert.claimed_bound > record.lower),
+        key=lambda ic: -ic[1].claimed_bound,
+    )
     skipped = []
-    for i, cert in sorted(candidates, key=lambda ic: -ic[1].claimed_bound):
+    for i, cert in candidates:
         n = len(cert.polygon)
         try:
             verified = verify_certificate(cert.polygon, k).verified
@@ -235,21 +232,19 @@ def bounds_for(k: int, certificates=()) -> BoundRecord:
 
 
 def verify_certificate(P: Polygon, k: int, budget: int = DEFAULT_BUDGET) -> Certificate:
-    """Exhaustively test every sub-k-gon with the definition-level oracle.
+    """Exhaustively test the sub-k-gons with the definition-level oracle.
 
     The fast sign route is deliberately not trusted here: a bound claim
     must not rest on the optimized path.  Each subset goes through the
     oracle's witness-free core, the walk oracle_test words its verdicts
-    from, so the count builds no verdict or witness string per subset.
+    from, so no verdict or witness string is built per subset.  The first
+    convex subset from the generator that count_convex_subgons(...,
+    oracle_only=True) sums ends the test; the k-range and budget checks
+    raise before any subset is tested.
     """
-    count, _ = count_convex_subgons(P, k, budget=budget, oracle_only=True)
-    return Certificate(
-        polygon=P,
-        k=k,
-        claimed_bound=len(P) + 1,
-        verified=(count == 0),
-        subgon_total=math.comb(len(P), k),
-    )
+    total = _subset_total(len(P), k, budget)
+    convex = next(_oracle_convex(P.vertices, k), None)
+    return Certificate(P, k, len(P) + 1, convex is None, total)
 
 
 def _derived_seed(seed: int, index: int) -> int:

@@ -16,7 +16,8 @@ on that directory.  An I/O failure raises InputError naming the store.
 Each call reads the whole file, but the process does not parse again
 the text it last read or wrote.  It keeps that text with each record's
 dedupe key, whether the text is in the one-record-per-line layout and,
-once a load has built them, its certificates.  Everything kept is a
+once a load has built them, its certificates (an append keeps the
+caller's, equal to what its record loads as).  Everything kept is a
 function of the text alone, so a call uses it only when the text it has
 just read (under the flock, for an append) equals the kept text; any
 other text (another store, a write by another process, an edit) is
@@ -230,12 +231,7 @@ def add_certificate(cert: Certificate, path: str | None = None) -> bool:
             added = key not in snap.keys
             if added:
                 text = _appended(snap, record)
-                certs = snap.certs
-                if certs is not None:
-                    try:
-                        certs += (Certificate.from_dict(record),)
-                    except InputError:  # a bad record: the next load reports it
-                        certs = None
+                certs = None if snap.certs is None else snap.certs + (cert,)
                 _write(path, text)
                 # Only now that the text is stored does the snapshot become it.
                 _last = _Snapshot(text, snap.keys + (key,), True, certs)

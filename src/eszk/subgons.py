@@ -291,6 +291,23 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
     return hit and (hit, GOOD if colors[hit[:3]] == GOOD else BAD)
 
 
+def _subset_total(n: int, k: int, budget) -> int:
+    # C(n, k), checked before an exhaustive count tests any subset.
+    if not 1 <= k <= n:
+        raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    total = math.comb(n, k)
+    if total > budget:
+        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
+    return total
+
+
+def _oracle_convex(vs, k: int):
+    # Yield, in lexicographic order, each k-subset the oracle's core calls convex.
+    for idx, sub in zip(itertools.combinations(range(len(vs)), k), itertools.combinations(vs, k)):
+        if _oracle_fail(sub) is None:
+            yield idx
+
+
 def count_convex_subgons(
     P: Polygon,
     k: int,
@@ -316,22 +333,13 @@ def count_convex_subgons(
     repeats a point is decided by the oracle.  C(n, k) <= budget bounds
     either DFS to C(n + 1, k) nodes; pruned walks visit far fewer.  With
     oracle_only the definition-level test is applied to every
-    sub-polygon, bypassing both DFSs; certificate verification relies on
-    that mode.
+    sub-polygon, bypassing both DFSs; certificate verification walks the
+    same generator of oracle-convex subsets, but stops at its first hit.
     """
-    n = len(P)
-    if not 1 <= k <= n:
-        raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    total = math.comb(n, k)
-    if total > budget:
-        raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
+    _subset_total(len(P), k, budget)
     vs = P.vertices
     if oracle_only:
-        hits = (
-            idx
-            for idx, sub in zip(itertools.combinations(range(n), k), itertools.combinations(vs, k))
-            if _oracle_fail(sub) is None
-        )
+        hits = _oracle_convex(vs, k)
     elif (signs := _polygon_signs(vs)) is not None:
         hits = _monochromatic(signs, k, math.inf)
     else:

@@ -22,6 +22,7 @@ from eszk import (
     verify_certificate,
 )
 import eszk.extremal
+import eszk.subgons
 from eszk.extremal import _moves, _run_restart, _sample_strict, _SubgonCounter
 
 
@@ -49,13 +50,13 @@ class TestBounds:
     def test_certificates_raise_lower(self):
         cert = verify_certificate(SEVEN_GON_CERTIFICATE, 4)
         assert bounds_for(4, [cert]).lower == 8
-        fake_nine = Certificate(
-            polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=10, verified=True, subgon_total=35
-        )
-        with pytest.raises(InputError, match=r"certificates\[1\] claims bound 10 for k=4"):
-            bounds_for(4, [cert, fake_nine])
+        with pytest.raises(InputError, match=r"^claimed_bound = 10 is not n \+ 1 = 8$"):
+            Certificate(
+                polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=10, verified=True,
+                subgon_total=35,
+            )
         unverified = Certificate(
-            polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=99, verified=False, subgon_total=35
+            polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=8, verified=False, subgon_total=35
         )
         assert bounds_for(4, [unverified]).lower == 8
 
@@ -100,11 +101,11 @@ class TestBounds:
         )
 
     def test_contradictory_certificate_rejected(self):
-        impossible = Certificate(
-            polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=14, verified=True, subgon_total=35
-        )
-        with pytest.raises(InputError, match=r"certificates\[0\] claims bound 14 for k=4, but"):
-            bounds_for(4, [impossible])
+        with pytest.raises(InputError, match=r"^claimed_bound = 14 is not n \+ 1 = 8$"):
+            Certificate(
+                polygon=SEVEN_GON_CERTIFICATE, k=4, claimed_bound=14, verified=True,
+                subgon_total=35,
+            )
 
     def test_re_verified_bound_above_the_upper_bound_rejected(self, monkeypatch):
         # no 13-gon lacks a convex sub-4-gon, so only a wrong oracle verdict
@@ -156,6 +157,58 @@ class TestVerifyCertificate:
         d = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
         assert set(d) == {"k", "vertices", "claimed_bound", "verified", "subgon_total"}
         assert d["vertices"][0] == [-13, 0]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", "4"), ("k", 4.0), ("k", True), ("k", 0), ("k", 8), ("verified", 1),
+         ("claimed_bound", 9), ("claimed_bound", 8.0), ("subgon_total", 34),
+         ("subgon_total", 35.9), ("subgon_total", "35")],
+    )
+    def test_an_inconsistent_certificate_cannot_be_built(self, field, value):
+        cert = verify_certificate(SEVEN_GON_CERTIFICATE, 4)
+        fields = dict(polygon=cert.polygon, k=4, claimed_bound=8, verified=True, subgon_total=35)
+        with pytest.raises(InputError, match=f"^{field} = "):
+            Certificate(**dict(fields, **{field: value}))
+        with pytest.raises(InputError, match=f"^{field} = "):
+            replace(cert, **{field: value})
+
+    def test_verification_matches_the_oracle_count(self):
+        # strict polygons, then ones with a repeated point or a collinear triple
+        rng = random.Random(20)
+        outcomes = set()
+        for case in range(300):
+            n, k = rng.randint(5, 10), rng.randint(4, 5)
+            vs = _sample_strict(rng, n, 30)
+            a, b, c = rng.sample(range(n), 3)
+            if case % 3 == 1:
+                vs[a] = vs[b]
+            elif case % 3 == 2:
+                (ax, ay), (bx, by) = vs[a], vs[b]
+                vs[c] = (2 * bx - ax, 2 * by - ay)
+            P = Polygon(vs)
+            verified = verify_certificate(P, k).verified
+            assert verified == (count_convex_subgons(P, k, oracle_only=True)[0] == 0), vs
+            assert verified == (count_convex_subgons(P, k)[0] == 0), vs
+            outcomes.add((case % 3, verified))
+        assert len(outcomes) == 6  # each kind both verifies and fails
+
+    def test_verification_stops_at_the_first_convex_subset(self, monkeypatch):
+        calls = []
+        oracle = eszk.subgons._oracle_fail
+        monkeypatch.setattr(eszk.subgons, "_oracle_fail",
+                            lambda sub: calls.append(sub) or oracle(sub))
+        parabola = Polygon((x, x * x) for x in range(10))  # every sub-5-gon is convex
+        assert not verify_certificate(parabola, 5).verified
+        assert calls == [parabola.vertices[:5]]
+        calls.clear()
+        assert verify_certificate(SEVEN_GON_CERTIFICATE, 4).verified
+        assert len(calls) == 35
+        calls.clear()
+        with pytest.raises(InputError, match="k must satisfy 1 <= k <= 10, got 11"):
+            verify_certificate(parabola, 11)
+        with pytest.raises(CapabilityError, match=r"C\(10,5\) = 252 subsets exceed the budget 251"):
+            verify_certificate(parabola, 5, budget=251)
+        assert calls == []
 
 
 class TestSearchConfig:

@@ -322,20 +322,18 @@ def test_an_unchanged_store_is_parsed_once(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the store text was parsed again")
 
-    def only_the_new_record(cls, record):
-        assert record == new.to_dict(), "a stored record was built again"
+    def record_builds(cls, record):
         built.append(record)
         return from_dict(record)
 
     monkeypatch.setattr(eszk.store.json, "loads", refuse)
-    monkeypatch.setattr(Certificate, "from_dict", classmethod(only_the_new_record))
+    monkeypatch.setattr(Certificate, "from_dict", classmethod(record_builds))
     assert load_certificates(store) == certs
     assert not add_certificate(_translate(1), store)
-    assert built == []
-    # an append builds its own record's certificate and nothing else
+    # an append keeps the caller's certificate: it builds none, not even its own
     assert add_certificate(new, store)
-    assert built == [new.to_dict()]
     assert load_certificates(store) == certs + [new]
+    assert built == []
 
 
 def test_a_rewritten_store_is_parsed_again(tmp_path):
@@ -386,15 +384,16 @@ def test_a_bad_record_raises_on_every_load(tmp_path):
     assert f"store file {store}, certificates[1]: " in messages[0]
 
 
-def test_an_appended_record_that_does_not_load_is_reported(tmp_path):
-    store = str(tmp_path / "s.json")
-    assert add_certificate(_translate(1), store)
-    assert len(load_certificates(store)) == 2
+def test_a_record_that_would_not_load_cannot_be_appended(tmp_path):
+    # the certificate it would come from cannot be built, so the store never sees it
+    store = tmp_path / "s.json"
+    assert add_certificate(_translate(1), str(store))
+    text = store.read_text()
     cert = _translate(2)
-    wrong_total = Certificate(cert.polygon, cert.k, cert.claimed_bound, True, subgon_total=1)
-    assert add_certificate(wrong_total, store)
-    with pytest.raises(InputError, match=r"certificates\[2\]: .*subgon_total = 1"):
-        load_certificates(store)
+    with pytest.raises(InputError, match=r"^subgon_total = 1 is not C\(7, 4\) = 35$"):
+        Certificate(cert.polygon, cert.k, cert.claimed_bound, True, subgon_total=1)
+    assert store.read_text() == text
+    assert len(load_certificates(str(store))) == 2
 
 
 def test_resolve_precedence(monkeypatch):
