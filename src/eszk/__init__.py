@@ -5,7 +5,10 @@ provides exact orientation predicates, two independent convexity
 deciders, convex sub-polygon search via orientation-sign colorings,
 lower-bound certificates for the least polygon size forcing a convex
 sub-k-gon, and a reproducible annealing search for new extremal
-configurations.  All geometry is integer arithmetic; nothing is rounded.
+configurations.  Every answer rests on exact integer arithmetic; the one
+use of floating point, the slope filter of the strictness test, can only
+say "strict" and hands every collision to an exact integer test (see
+``geometry``).
 """
 
 from .convexity import (

@@ -88,6 +88,35 @@ def _side_pos(p, q, a):
     return t if 0 <= t <= dx * dx + dy * dy else None
 
 
+def _edge_side(hull, corner, a, b):
+    # The first side of a hull cycle, in hull order, holding both ends of
+    # the edge from a to b, as (s, position of a, position of b) by
+    # _side_pos on the side from hull[s] to the next corner, or None.  corner
+    # maps each corner to its index in the cycle.  A corner lies on its
+    # two incident sides and on no other, so an edge with a corner end is
+    # tested on those two only.  Two distinct corners share a side
+    # exactly when they are adjacent in the cycle, and then the edge is
+    # that side, reported with both positions None: it covers the side
+    # whole.
+    h = len(hull)
+    i, j = corner.get(a), corner.get(b)
+    if i is not None and j is not None and i != j:
+        if j - i in (1, 1 - h):
+            return i, None, None
+        if i - j in (1, 1 - h):
+            return j, None, None
+        return None
+    c = j if i is None else i
+    for s in range(h) if c is None else (c - 1, c) if c else (0, h - 1):
+        p, q = hull[s], hull[s + 1 - h]
+        sa = _side_pos(p, q, a)
+        if sa is not None:
+            sb = _side_pos(p, q, b)
+            if sb is not None:
+                return s, sa, sb
+    return None
+
+
 def _oracle_fail(vs):
     """The oracle's walk without a verdict: None when vs is convex by the
     definition (oracle_test), otherwise the index of the first edge that
@@ -95,39 +124,41 @@ def _oracle_fail(vs):
     order, that the edges leave uncovered.  Exhaustive counts test this
     directly, so they build no verdict and no witness string."""
     hull = _hull(vs)
-    if len(hull) <= 2:
+    h = len(hull)
+    if h <= 2:
         # Dimension <= 1: the hull is a point or segment; the edge walk
         # is connected and touches both endpoints, so it covers the whole
         # hull.
         return None
 
-    # One walk over the edges matches each edge to the first hull side
-    # holding both its ends and records its span on that side.
-    sides = list(zip(hull, hull[1:] + hull[:1]))
-    spans = [[] for _ in sides]
+    # One walk over the edges matches each edge to its hull side and
+    # records its span there, or None once an edge covers the side whole.
+    corner = {p: j for j, p in enumerate(hull)}
+    spans = {}
     n = len(vs)
     for i in range(n):
-        a, b = vs[i], vs[i + 1 - n]
-        for (p, q), found in zip(sides, spans):
-            sa = _side_pos(p, q, a)
-            if sa is not None:
-                sb = _side_pos(p, q, b)
-                if sb is not None:
-                    found.append((sa, sb) if sa <= sb else (sb, sa))
-                    break
-        else:
+        match = _edge_side(hull, corner, vs[i], vs[i + 1 - n])
+        if match is None:
             return i
+        s, sa, sb = match
+        if sa is None:
+            spans[s] = None
+        elif (found := spans.setdefault(s, [])) is not None:
+            found.append((sa, sb) if sa <= sb else (sb, sa))
 
-    # Sweep each side's spans up from p; a zero-length span never extends
-    # the covered prefix.
-    for (p, q), found in zip(sides, spans):
+    # Sweep each side not covered whole up from p; a zero-length span
+    # never extends the covered prefix.
+    for s in range(h):
+        found = spans.get(s, ())
+        if found is None:
+            continue
         covered = 0
         for lo, hi in sorted(found):
             if lo > covered:
                 break
             if hi > covered:
                 covered = hi
-        (px, py), (qx, qy) = p, q
+        (px, py), (qx, qy) = p, q = hull[s], hull[s + 1 - h]
         if covered < (qx - px) ** 2 + (qy - py) ** 2:
             return p, q
     return None
@@ -156,6 +187,13 @@ def oracle_test(P: Polygon) -> ConvexityVerdict:
     edge to a hull side holding both its ends, and the first edge with
     no such side is the witness.  Then each side, in hull order, must be
     covered by the edges matched to it, or it is the witness.
+
+    Hull corners are looked up by their index in the cycle.  A corner
+    lies on its two incident sides and on no other, so an edge with a
+    corner end is tested against those two sides only, in hull order.
+    Two distinct corners share a side exactly when they are adjacent in
+    the cycle; such an edge is that side, covers it whole, and the
+    coverage sweep runs only on the sides left partly covered.
 
     The match is exact.  A segment on the boundary of a convex region
     lies on a supporting line, and the hull keeps corners only, so that
@@ -234,7 +272,8 @@ def to_one_side(P: Polygon) -> ToOneSideWitness | None:
     side's own for a repeated point.  The match is exact: a line that
     supports the hull and holds two distinct vertices meets it in one
     side, and a point has a supporting functional iff it lies on the
-    boundary.  O(n h) for h hull corners.
+    boundary.  O(n h) for h hull corners; an edge with a corner end
+    costs O(1) by oracle_test's corner lookup.
     """
     vs = P.vertices
     n = len(vs)
@@ -246,20 +285,18 @@ def to_one_side(P: Polygon) -> ToOneSideWitness | None:
         b = next(v for v in vs if v != vs[0])
         return ToOneSideWitness((_perp_ccw(b.x - vs[0].x, b.y - vs[0].y),) * n)
 
-    sides = list(zip(hull, hull[1:] + hull[:1]))
+    corner = {p: j for j, p in enumerate(hull)}
     normals = []
     for i in range(n):
         a, b = vs[i], vs[i + 1 - n]
-        for p, q in sides:
-            sa = _side_pos(p, q, a)
-            if sa is not None:
-                sb = _side_pos(p, q, b)
-                if sb is not None:
-                    break
-        else:
+        match = _edge_side(hull, corner, a, b)
+        if match is None:
             return None
-        # the side's counterclockwise direction, scaled to the edge
-        u, v = (a, b) if sb > sa else (b, a) if sb < sa else (p, q)
+        s, sa, sb = match
+        p, q = hull[s], hull[s + 1 - len(hull)]
+        # the side's counterclockwise direction, scaled to the edge; an
+        # edge between the side's corners is the side itself
+        u, v = (p, q) if sa is None or sa == sb else (a, b) if sb > sa else (b, a)
         normals.append(_perp_ccw(v.x - u.x, v.y - u.y))
     return ToOneSideWitness(tuple(normals))
 
@@ -268,18 +305,19 @@ def is_pre_convex(P: Polygon) -> bool:
     """Does some permutation of the vertex sequence form a convex polygon?
 
     Exactly when every vertex lies on the boundary of its hull, that is
-    on a side (a corner lies on its own sides): the side test of
-    oracle_test and to_one_side applied to vertices.  A convex order's
-    vertices lie on its edge union, which is that boundary; conversely,
-    the boundary points walked counterclockwise, copies of a point kept
-    adjacent, form a convex order.  A one- or two-point hull cycle is a
-    point or a segment, so dimension <= 1 needs no special case.  O(n h)
-    for h hull corners.
+    on a side (a corner lies on its own sides): the edge-to-side match of
+    oracle_test and to_one_side, applied to each vertex as a zero-length
+    edge.  A convex order's vertices lie on its edge union, which is that
+    boundary; conversely, the boundary points walked counterclockwise,
+    copies of a point kept adjacent, form a convex order.  A one- or two-point hull cycle is a
+    point or a segment, so dimension <= 1 needs no special case.  A
+    corner is found by oracle_test's corner lookup; any other vertex
+    costs O(h) for h hull corners.
     """
     vs = P.vertices
     hull = _hull(vs)
-    sides = list(zip(hull, hull[1:] + hull[:1]))
-    return all(any(_side_pos(p, q, v) is not None for p, q in sides) for v in vs)
+    corner = {p: j for j, p in enumerate(hull)}
+    return all(_edge_side(hull, corner, v, v) is not None for v in vs)
 
 
 def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:

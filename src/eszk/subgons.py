@@ -10,7 +10,11 @@ left; the DFS derives the right-turning ones as the complement among the
 vertices above b, since no determinant vanishes on strict input.  The
 table's C(n, 3) determinants are the ones strictness is defined by, so
 its build decides strictness too: it stops at the first vanishing one,
-and a polygon without a table takes the non-strict route.
+and a polygon without a table takes the non-strict route.  The DFS stops
+one level above the leaves: each (k-1)-prefix comes with the bitset of
+the vertices that complete it, so a count adds bit counts and never
+visits a leaf, while a list or a find expands the bitset in ascending
+order.
 
 Non-strict polygons are searched by a second DFS over index prefixes,
 pruned by supporting lines.  One table per polygon (O(n^3)
@@ -116,33 +120,46 @@ def _polygon_signs(vs):
     # exactly when vs is strict (a repeated point is collinear with
     # every third one, and n <= 2 has no triple), and N-(a, b) is every
     # other vertex above b, which _monochromatic derives instead of
-    # storing.
+    # storing.  Each anchor a lists its later vertices once, as
+    # (1 << c, x - ax, y - ay), so the determinant of (a, b, c) is
+    # dx * y - x * dy over the entries (_, dx, dy) of b and (_, x, y) of c.
     n = len(vs)
     pos = [[0] * n for _ in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
-        (ax, ay), (bx, by) = vs[a], vs[b]
-        dx, dy = bx - ax, by - ay
-        p = 0
-        for c in range(b + 1, n):
-            cx, cy = vs[c]
-            left, right = dx * (cy - ay), (cx - ax) * dy
-            if left > right:
-                p |= 1 << c
-            elif left == right:
-                return None
-        pos[a][b] = p
+    for a, (ax, ay) in enumerate(vs):
+        rel = [(1 << c, x - ax, y - ay) for c, (x, y) in enumerate(vs[a + 1 :], a + 1)]
+        row = pos[a]
+        for b, (_, dx, dy) in enumerate(rel, a + 1):
+            p = 0
+            for bit, x, y in rel[b - a :]:
+                d = dx * y - x * dy
+                if d > 0:
+                    p |= bit
+                elif d == 0:
+                    return None
+            row[b] = p
     return pos
 
 
 def _monochromatic(pos_t, k: int, budget):
-    # Yield every k-subset whose index triples share one sign, in
-    # lexicographic order.  A frame keeps one mask per sign of the
-    # vertices that extend the prefix in that sign; choosing v ANDs
-    # N+(a, v) into the positive mask for every chosen a and clears their
-    # union from the negative one, which holds only vertices above v, so
-    # that clearing is the AND with every N-(a, v).  A mask that cannot
-    # reach k is dropped.
+    # Yield, in lexicographic order, each (k-1)-prefix that some vertex
+    # completes to a k-subset whose index triples share one sign, with
+    # the nonzero bitset of those vertices; expanding each bitset in
+    # ascending order lists the k-subsets in lexicographic order, and a
+    # count adds up their bit counts without visiting a leaf.  A frame
+    # keeps one mask per sign of the vertices that extend the prefix in
+    # that sign; choosing v ANDs N+(a, v) into the positive mask for
+    # every chosen a and clears their union from the negative one, which
+    # holds only vertices above v, so that clearing is the AND with
+    # every N-(a, v).  A mask that cannot reach k is dropped.  A yield
+    # counts as one node, its first leaf, so the nodes up to the first
+    # hit are those of a walk to that leaf.  k = 1 yields the empty
+    # prefix with every vertex.
     full = (1 << len(pos_t)) - 1
+    if k == 1:
+        if budget < 1:
+            raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
+        yield (), full
+        return
     chosen: list[int] = []
     stack = [(full, full, full)]  # (untried, positive mask, negative mask)
     visited = 0
@@ -158,12 +175,6 @@ def _monochromatic(pos_t, k: int, budget):
         v = low.bit_length() - 1
         rest = untried ^ low  # the untried candidates above v
         stack[-1] = (rest, pos, neg)
-        visited += 1
-        if visited > budget:
-            raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
-        if t + 1 == k:
-            yield (*chosen, v)
-            continue
         p = pos & rest if pos & low else 0
         q = neg & rest if neg & low else 0
         left = 0  # the union of N+(a, v) over the chosen a
@@ -172,6 +183,15 @@ def _monochromatic(pos_t, k: int, budget):
             p &= row
             left |= row
         q &= ~left
+        parent = t + 2 == k  # v ends a (k-1)-prefix, completed by p | q
+        visited += 2 if parent and p | q else 1
+        if visited > budget:
+            raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
+        if parent:
+            # the union: at the root p and q are both rest
+            if p | q:
+                yield (*chosen, v), p | q
+            continue
         need = k - t - 1
         p = p if p.bit_count() >= need else 0
         q = q if q.bit_count() >= need else 0
@@ -180,29 +200,50 @@ def _monochromatic(pos_t, k: int, budget):
             stack.append((p | q, p, q))
 
 
+def _first_leaf(groups):
+    # The first k-subset of _monochromatic's (prefix, completions)
+    # stream, or None.
+    for prefix, last in groups:
+        return (*prefix, (last & -last).bit_length() - 1)
+    return None
+
+
+def _leaves(groups):
+    # Every k-subset of _monochromatic's stream, in lexicographic order.
+    for prefix, last in groups:
+        while last:
+            low = last & -last
+            yield (*prefix, low.bit_length() - 1)
+            last ^= low
+
+
 def _side_table(vs):
     # For each pair u < v, the bitsets L(u, v) and R(u, v) of the
     # vertices w with orient(V_u, V_v, V_w) >= 0 and <= 0.  When
     # V_u = V_v every orientation vanishes and both masks are full: a
     # degenerate edge constrains nothing.  "Every vertex of a set m
     # weakly on one side" reads the same for the edge u -> v and v -> u,
-    # so the pairs u < v serve both.
+    # so the pairs u < v serve both.  Each anchor u lists every vertex
+    # once, as (1 << w, x - ux, y - uy); V_u and V_v sit at determinant 0
+    # and so land in both masks.
     n = len(vs)
     full = (1 << n) - 1
     left = [[full] * n for _ in range(n)]
     right = [[full] * n for _ in range(n)]
-    for u, v in itertools.combinations(range(n), 2):
-        (ux, uy), (vx, vy) = vs[u], vs[v]
-        dx, dy = vx - ux, vy - uy
-        pos = neg = 0
-        for w, (wx, wy) in enumerate(vs):
-            d = dx * (wy - uy) - (wx - ux) * dy
-            if d > 0:
-                pos |= 1 << w
-            elif d < 0:
-                neg |= 1 << w
-        left[u][v] = full ^ neg
-        right[u][v] = full ^ pos
+    for u, (ux, uy) in enumerate(vs):
+        rel = [(1 << w, x - ux, y - uy) for w, (x, y) in enumerate(vs)]
+        row_l, row_r = left[u], right[u]
+        for v in range(u + 1, n):
+            _, dx, dy = rel[v]
+            pos = neg = 0
+            for bit, x, y in rel:
+                d = dx * y - x * dy
+                if d > 0:
+                    pos |= bit
+                elif d < 0:
+                    neg |= bit
+            row_l[v] = full ^ neg
+            row_r[v] = full ^ pos
     return left, right
 
 
@@ -287,7 +328,7 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
             raise InputError(f"coloring {problem} triple {(a, b, c)}")
     if m > n:
         return None
-    hit = next(_monochromatic(pos, m, DEFAULT_BUDGET), None)
+    hit = _first_leaf(_monochromatic(pos, m, DEFAULT_BUDGET))
     return hit and (hit, GOOD if colors[hit[:3]] == GOOD else BAD)
 
 
@@ -321,7 +362,10 @@ def count_convex_subgons(
     in lexicographic order when include_subsets is set.  Strict polygons
     count the leaves of the monochromatic DFS over their sign table,
     whose build is also the strictness test: it stops at the first
-    collinear index triple.  Other polygons, those with no table, run
+    collinear index triple.  That DFS stops at the leaf parents: each
+    (k-1)-prefix comes with the bitset of the vertices completing it, the
+    count adds their bit counts, and the list expands each bitset in
+    ascending order.  Other polygons, those with no table, run
     the supporting-line DFS: a prefix is extended only while every edge
     between consecutive chosen vertices, and the new one, has all chosen
     vertices weakly on one side of its line, and the closing edge is
@@ -341,7 +385,10 @@ def count_convex_subgons(
     if oracle_only:
         hits = _oracle_convex(vs, k)
     elif (signs := _polygon_signs(vs)) is not None:
-        hits = _monochromatic(signs, k, math.inf)
+        groups = _monochromatic(signs, k, math.inf)
+        if not include_subsets:
+            return sum(last.bit_count() for _, last in groups), None
+        hits = _leaves(groups)
     else:
         hits = _convex_subsets(vs, k, math.inf)
     if not include_subsets:
@@ -380,7 +427,7 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     vs = P.vertices
     signs = _polygon_signs(vs)
     if signs is not None:
-        hit = next(_monochromatic(signs, k, budget), None)
+        hit = _first_leaf(_monochromatic(signs, k, budget))
         if hit is not None and _sign_scan(tuple(vs[i] for i in hit)) is not None:
             raise RuntimeError(
                 f"internal inconsistency: monochromatic subset {hit} is not a convex sub-{k}-gon"
@@ -390,7 +437,7 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     try:
         Q = perturb_to_strict(P, _PERTURB_SCALE, _PERTURB_JITTER, _PERTURB_SEED)
         # strict by construction, so Q always has a table
-        hit = next(_monochromatic(_polygon_signs(Q.vertices), k, budget), None)
+        hit = _first_leaf(_monochromatic(_polygon_signs(Q.vertices), k, budget))
     except (InputError, ExhaustionError):
         hit = None  # no strict perturbation
     if hit is not None and _oracle_fail(tuple(vs[i] for i in hit)) is None:

@@ -20,7 +20,7 @@ from eszk import (
 )
 import eszk.convexity
 import eszk.geometry
-from eszk.convexity import ToOneSideWitness, _oracle_fail
+from eszk.convexity import ToOneSideWitness, _oracle_fail, _side_pos
 from eszk.geometry import _dimension, _hull, _sign_scan
 from conftest import (
     det,
@@ -555,3 +555,118 @@ class TestConvexPermutations:
             P = random_convex_polygon(rng, n, 30)
             count, _ = convex_permutations(P)
             assert count == 2 * n
+
+
+# The oracle's edge walk as it scanned every hull side for every edge,
+# before corners were looked up; kept as the reference for the lookup.
+
+
+def first_side_reference(sides, a, b):
+    for p, q in sides:
+        sa = _side_pos(p, q, a)
+        if sa is not None:
+            sb = _side_pos(p, q, b)
+            if sb is not None:
+                return p, q, sa, sb
+    return None
+
+
+def oracle_fail_reference(vs):
+    hull = _hull(vs)
+    if len(hull) <= 2:
+        return None
+    sides = list(zip(hull, hull[1:] + hull[:1]))
+    spans = {side: [] for side in sides}
+    n = len(vs)
+    for i in range(n):
+        match = first_side_reference(sides, vs[i], vs[i + 1 - n])
+        if match is None:
+            return i
+        p, q, sa, sb = match
+        spans[p, q].append((min(sa, sb), max(sa, sb)))
+    for p, q in sides:
+        covered = 0
+        for lo, hi in sorted(spans[p, q]):
+            if lo > covered:
+                break
+            covered = max(covered, hi)
+        if covered < (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2:
+            return p, q
+    return None
+
+
+def to_one_side_reference(P):
+    vs = P.vertices
+    hull = _hull(vs)
+    if len(hull) <= 2:
+        return to_one_side(P)  # no side walk: one normal for every edge
+    sides = list(zip(hull, hull[1:] + hull[:1]))
+    normals = []
+    for i in range(len(vs)):
+        a, b = vs[i], vs[(i + 1) % len(vs)]
+        match = first_side_reference(sides, a, b)
+        if match is None:
+            return None
+        p, q, sa, sb = match
+        u, v = (a, b) if sb > sa else (b, a) if sb < sa else (p, q)
+        normals.append((u.y - v.y, v.x - u.x))
+    return ToOneSideWitness(tuple(normals))
+
+
+def is_pre_convex_reference(P):
+    hull = _hull(P.vertices)
+    sides = list(zip(hull, hull[1:] + hull[:1]))
+    return all(first_side_reference(sides, v, v) is not None for v in P.vertices)
+
+
+def corner_question_polygon(rng):
+    # Small boxes, so corners, side midpoints and repeats collide often:
+    # either random points, or a hull cycle (on even coordinates, so each
+    # side has a lattice midpoint) with midpoints and repeats planted,
+    # then rotated, reversed or shuffled.
+    box = rng.randint(1, 3)
+    pts = [(rng.randint(-box, box), rng.randint(-box, box)) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.5:
+        vs = [(2 * x, 2 * y) for x, y in _hull(pts)]
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(vs))
+            (ax, ay), (bx, by) = vs[i - 1], vs[i]
+            vs.insert(i, ((ax + bx) // 2, (ay + by) // 2))
+        shift = rng.randrange(len(vs))
+        vs = vs[shift:] + vs[:shift]
+        order = rng.randrange(3)
+        if order == 1:
+            vs.reverse()
+        elif order == 2:
+            rng.shuffle(vs)
+    else:
+        vs = pts
+    for _ in range(rng.randint(0, 2)):
+        vs.insert(rng.randrange(len(vs) + 1), rng.choice(vs))
+    return Polygon(vs)
+
+
+class TestCornerLookup:
+    def test_oracle_matches_the_side_scan(self, rng):
+        outcomes = collections.Counter()
+        for _ in range(6000):
+            P = corner_question_polygon(rng)
+            fail = _oracle_fail(P.vertices)
+            assert fail == oracle_fail_reference(P.vertices), P
+            outcomes["convex" if fail is None else "edge" if type(fail) is int else "side"] += 1
+        # every outcome, the uncovered side included, is reached often
+        assert min(outcomes.values()) > 150, outcomes
+
+    def test_to_one_side_and_pre_convex_match_the_side_scan(self, rng):
+        for _ in range(3000):
+            P = corner_question_polygon(rng)
+            assert to_one_side(P) == to_one_side_reference(P), P
+            assert is_pre_convex(P) == is_pre_convex_reference(P), P
+
+    def test_corners_that_are_not_adjacent_share_no_side(self):
+        # the diagonal (0, 0) -> (2, 2) joins two corners of the square
+        P = Polygon([(0, 0), (2, 2), (2, 0), (0, 2)])
+        assert _oracle_fail(P.vertices) == 0
+        assert to_one_side(P) is None
+        # the same corners in cycle order
+        assert _oracle_fail(Polygon(SQUARE).vertices) is None

@@ -219,9 +219,22 @@ class TestFind:
         with pytest.raises(CapabilityError):
             find_convex_subgon(P, 5, budget=100)
 
+    def test_budget_counts_the_nodes_up_to_a_deep_hit(self):
+        # Strict 11-gon whose least convex sub-5-gon, (3, 5, 6, 8, 9), is
+        # the 104th DFS node: the leaf-parent DFS counts its hit as the
+        # first leaf below the parent, as a walk to that leaf does.
+        P = Polygon([(30, -39), (-41, 2), (10, 32), (2, -39), (48, 18), (-3, -2),
+                     (-34, 2), (0, -1), (-24, -49), (1, -42), (0, -36)])
+        assert find_convex_subgon(P, 5, budget=104) == (3, 5, 6, 8, 9)
+        with pytest.raises(CapabilityError):
+            find_convex_subgon(P, 5, budget=103)
+
     def test_non_convex_hit_raises(self, monkeypatch):
-        # a DFS hit that is not convex is an internal inconsistency
-        monkeypatch.setattr(eszk.subgons, "_monochromatic", lambda *args: iter([(0, 1, 2, 3)]))
+        # a DFS hit that is not convex is an internal inconsistency; the
+        # DFS yields the hit (0, 1, 2, 3) as its prefix and the bitset of
+        # its last vertex
+        monkeypatch.setattr(eszk.subgons, "_monochromatic",
+                            lambda *args: iter([((0, 1, 2), 1 << 3)]))
         with pytest.raises(RuntimeError, match="internal inconsistency"):
             find_convex_subgon(SEVEN_GON_CERTIFICATE, 4)
 
@@ -467,7 +480,7 @@ def test_perturbed_hit_is_rechecked_on_the_original(monkeypatch):
 
     def monochromatic(pos_t, k, budget):
         offered.append(k)
-        yield bogus
+        yield bogus[:-1], 1 << bogus[-1]  # (prefix, completions)
 
     monkeypatch.setattr(eszk.subgons, "_monochromatic", monochromatic)
     exact = next(_convex_subsets(P.vertices, 4, math.inf), None)
@@ -588,3 +601,22 @@ def test_hereditary_property(rng):
         assert is_convex(P).convex
         count, _ = count_convex_subgons(P, 4)
         assert count == len(list(itertools.combinations(range(len(P)), 4)))
+
+
+def test_leaf_parent_count_matches_the_enumeration(rng):
+    # The count adds the completion bitsets of the (k-1)-prefixes; it
+    # must equal the listed subsets, the oracle-only count and the
+    # sign-monochromatic k-subsets, k <= 3 included (k = 2 makes the
+    # root a leaf parent, where both sign masks hold every vertex).
+    for _ in range(12):
+        P = random_strict_polygon(rng, rng.randint(4, 9), 40)
+        vs = P.vertices
+        left = {t: det(*(vs[i] for i in t)) > 0 for t in itertools.combinations(range(len(vs)), 3)}
+        for k in range(1, len(vs) + 1):
+            count, subsets = count_convex_subgons(P, k, include_subsets=True)
+            mono = [s for s in itertools.combinations(range(len(vs)), k)
+                    if len({left[t] for t in itertools.combinations(s, 3)}) <= 1]
+            assert count == len(subsets) == count_convex_subgons(P, k)[0], (P, k)
+            assert count == count_convex_subgons(P, k, oracle_only=True)[0], (P, k)
+            assert subsets == mono, (P, k)
+            assert find_convex_subgon(P, k) == (subsets[0] if subsets else None), (P, k)
