@@ -138,8 +138,13 @@ def _cmd_grow(args):
     return payload, 0 if cert else 1, cert.polygon if cert else P, raw
 
 
-def render_svg(P: Polygon, size: int = 800, margin: int = 20) -> str:
+_SVG_SIZE = 800
+_SVG_MARGIN = 20
+
+
+def render_svg(P: Polygon) -> str:
     """Static picture: polygon edges in one stroke, hull boundary dashed."""
+    size, margin = _SVG_SIZE, _SVG_MARGIN
     hull, _ = convex_hull(P.vertices)
     xs = [v.x for v in P.vertices]
     ys = [v.y for v in P.vertices]

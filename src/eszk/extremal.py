@@ -519,6 +519,7 @@ def search_extremal(cfg: SearchConfig, workers: int = 1) -> SearchResult:
 def grow(P: Polygon, cfg: SearchConfig) -> Polygon | None:
     """Extend a certified polygon by one vertex, keeping objective zero.
 
+    cfg.n must be len(P) + 1, the size grown to (InputError otherwise).
     Tries cfg.max_iterations sampled coordinates, each at every insertion
     position; a candidate must stay strict and is accepted only after
     exhaustive re-verification.  Returns the first certified (n+1)-gon,
@@ -530,6 +531,8 @@ def grow(P: Polygon, cfg: SearchConfig) -> Polygon | None:
 
 def _grow(P: Polygon, cfg: SearchConfig) -> Certificate | None:
     # grow, returning the verified certificate of the grown polygon
+    if cfg.n != len(P) + 1:
+        raise InputError(f"grow makes a {len(P) + 1}-gon from a {len(P)}-gon, but n = {cfg.n}")
     base = verify_certificate(P, cfg.k)
     if not base.verified:
         raise PreconditionError(

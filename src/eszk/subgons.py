@@ -17,29 +17,30 @@ visits a leaf, while a list or a find expands the bitset in ascending
 order.
 
 Non-strict polygons are searched by a second DFS over index prefixes,
-pruned by supporting lines.  One table per polygon (O(n^3)
-determinants) holds, for each index pair, the bitsets of the vertices
-weakly left and weakly right of its line, both full when the two points
-coincide; a candidate costs O(k) mask operations.  Every edge of a
-leaf, the closing edge included, has all its vertices weakly on one
-side.  That is necessary, as an edge of a convex polygon whose ends
+pruned by supporting lines.  One table per polygon (O(n^3) determinants)
+holds, for each index pair, the bitsets of the vertices strictly left
+and strictly right of its line, both empty when the two points
+coincide.  A vertex set lies weakly on one side exactly when it misses
+one of the two, so a candidate costs O(k) mask operations.  Every edge
+of a leaf, the closing edge included, has all its vertices weakly on
+one side.  That is necessary, as an edge of a convex polygon whose ends
 differ lies on the hull boundary, hence on a supporting line.  On
 pairwise distinct points it is also sufficient.  Dimension <= 1 is
-convex outright.  On dimension 2, with hull H: (1) each edge lies in
-the part of H on its supporting line, a side of H; (2) a maximal run of
+convex outright.  On dimension 2, with hull H: (1) each edge lies in the
+part of H on its supporting line, a side of H; (2) a maximal run of
 consecutive vertices on the line of a side starts and ends at its two
 corners, which are vertices, as an edge from a point inside the side to
 a point off its line would separate them, so the run covers the side;
 (3) no corner has both its edges on one side's line, or it would sit
 inside a run and appear twice.  So the runs go from corner to adjacent
-corner, each corner once: the edges trace the hull cycle.  A leaf that
-repeats a point goes to the oracle, which stays necessary there: the
-doubly wound triangle a, b, c, a, b, c is convex, while the
-traced-back triangle a, b, c, b passes the edge test and leaves the
-side ca uncovered.  The sorted-triple sign rule of the strict DFS is
-not sound here: in the doubly wound triangle (a, c, b) has the other
-sign.  The oracle-only count, which certificates rest on, enumerates
-every k-subset.
+corner, each corner once: the edges trace the hull cycle.  A leaf whose
+own points repeat goes to the oracle, which stays necessary there: the
+doubly wound triangle a, b, c, a, b, c is convex, while the traced-back
+triangle a, b, c, b passes the edge test and leaves the side ca
+uncovered.  The sorted-triple sign rule of the strict DFS is not sound
+here: in the doubly wound triangle (a, c, b) has the other sign.  The
+oracle-only count, which certificates rest on, enumerates every
+k-subset.
 """
 
 from __future__ import annotations
@@ -218,57 +219,55 @@ def _leaves(groups):
 
 
 def _side_table(vs):
-    # For each pair u < v, the bitsets L(u, v) and R(u, v) of the
-    # vertices w with orient(V_u, V_v, V_w) >= 0 and <= 0.  When
-    # V_u = V_v every orientation vanishes and both masks are full: a
-    # degenerate edge constrains nothing.  "Every vertex of a set m
-    # weakly on one side" reads the same for the edge u -> v and v -> u,
-    # so the pairs u < v serve both.  Each anchor u lists every vertex
-    # once, as (1 << w, x - ux, y - uy); V_u and V_v sit at determinant 0
-    # and so land in both masks.
+    # For each pair u < v, the bitsets pos(u, v) and neg(u, v) of the
+    # vertices w with orient(V_u, V_v, V_w) > 0 and < 0.  A set m has
+    # every vertex weakly on one side of the line exactly when m misses
+    # neg or misses pos, and that reads the same for the edge u -> v and
+    # v -> u, so the pairs u < v serve both.  When V_u = V_v every
+    # orientation vanishes and both masks are empty: a degenerate edge
+    # constrains nothing.  Each anchor u lists every vertex once, as
+    # (1 << w, x - ux, y - uy), so the determinant of (u, v, w) is
+    # dx * y - x * dy over the entries (_, dx, dy) of v and (_, x, y) of w.
     n = len(vs)
-    full = (1 << n) - 1
-    left = [[full] * n for _ in range(n)]
-    right = [[full] * n for _ in range(n)]
+    pos = [[0] * n for _ in range(n)]
+    neg = [[0] * n for _ in range(n)]
     for u, (ux, uy) in enumerate(vs):
         rel = [(1 << w, x - ux, y - uy) for w, (x, y) in enumerate(vs)]
-        row_l, row_r = left[u], right[u]
+        row_p, row_n = pos[u], neg[u]
         for v in range(u + 1, n):
             _, dx, dy = rel[v]
-            pos = neg = 0
+            p = q = 0
             for bit, x, y in rel:
                 d = dx * y - x * dy
                 if d > 0:
-                    pos |= bit
+                    p |= bit
                 elif d < 0:
-                    neg |= bit
-            row_l[v] = full ^ neg
-            row_r[v] = full ^ pos
-    return left, right
+                    q |= bit
+            row_p[v], row_n[v] = p, q
+    return pos, neg
 
 
 def _convex_subsets(vs, k: int, budget):
     # The k-subsets whose sub-k-gon is convex, in lexicographic order, by
-    # a DFS over index prefixes c_0 < ... < c_t.  An edge (a, b) of the
-    # prefix allows the side masks L(a, b), R(a, b) that hold every
-    # chosen vertex; a candidate must lie in an allowed side of every
-    # prefix edge, and the new edge (c_t, w) must have every chosen
-    # vertex on one weak side.  The closing edge (w, c_0) is checked at
-    # the leaf, and only a leaf that repeats a point needs the oracle
-    # (module docstring).
-    left, right = _side_table(vs)
-    # same[v]: the indices u < v holding the point V_v
-    same = [sum(1 << u for u in range(v) if vs[u] == vs[v]) for v in range(len(vs))]
+    # a DFS over index prefixes c_0 < ... < c_t.  A candidate must keep
+    # every prefix edge, the new one (c_t, w) included, with all chosen
+    # vertices weakly on one side: each edge (a, b) allows the
+    # complement of neg(a, b) when the chosen vertices miss neg(a, b),
+    # and of pos(a, b) when they miss pos(a, b), and a prefix edge with
+    # no allowed side leaves no candidate.  So only a leaf tests its new
+    # edge and its closing edge (w, c_0), and only a leaf that repeats a
+    # point needs the oracle (module docstring).
+    pos, neg = _side_table(vs)
 
     def one_side(a, b, m):
-        return m & left[a][b] == m or m & right[a][b] == m
+        return not m & neg[a][b] or not m & pos[a][b]
 
     chosen: list[int] = []
     m = 0  # bitset of chosen
-    stack = [((1 << len(vs)) - 1, 0)]  # (untried candidates, chosen repeats)
+    stack = [(1 << len(vs)) - 1]  # the untried candidates of each prefix
     visited = 0
     while stack:
-        untried, repeats = stack[-1]
+        untried = stack[-1]
         t = len(chosen)
         if t + untried.bit_count() < k:
             stack.pop()
@@ -277,31 +276,28 @@ def _convex_subsets(vs, k: int, budget):
             continue
         low = untried & -untried
         v = low.bit_length() - 1
-        rest = untried ^ low  # the untried candidates above v
-        stack[-1] = (rest, repeats)
+        rest = stack[-1] = untried ^ low  # the untried candidates above v
         visited += 1
         if visited > budget:
             raise CapabilityError(f"subgon search exceeded the budget of {budget} nodes")
         ext = m | low
-        if chosen and not one_side(chosen[-1], v, ext):
-            continue
-        repeats |= same[v] & m
         if t + 1 == k:
-            if chosen and not one_side(chosen[0], v, ext):
+            if chosen and not (one_side(chosen[-1], v, ext) and one_side(chosen[0], v, ext)):
                 continue
             idx = (*chosen, v)
-            if not repeats or _oracle_fail(tuple(vs[i] for i in idx)) is None:
+            pts = tuple(vs[i] for i in idx)
+            if len(set(pts)) == k or _oracle_fail(pts) is None:
                 yield idx
             continue
         cand = rest
         path = chosen + [v]
         for a, b in zip(path, path[1:]):
-            side_l, side_r = left[a][b], right[a][b]
-            cand &= (side_l if ext & side_l == ext else 0) | (side_r if ext & side_r == ext else 0)
+            p, q = pos[a][b], neg[a][b]
+            cand &= (0 if ext & q else ~q) | (0 if ext & p else ~p)
         if t + 1 + cand.bit_count() >= k:
             chosen.append(v)
             m = ext
-            stack.append((cand, repeats))
+            stack.append(cand)
 
 
 def find_totally_monochromatic(coloring: TripleColoring, m: int):
@@ -310,6 +306,8 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
     as the convex-subgon search, capped at DEFAULT_BUDGET nodes.  The
     coloring must give every increasing index triple of range(n), and
     nothing else, the color GOOD or BAD; otherwise InputError."""
+    if type(m) is not int:
+        raise InputError(f"m = {m!r} is not an integer")
     if m < 3:
         raise InputError(f"m must be >= 3, got {m}")
     n = coloring.n
@@ -332,10 +330,18 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
     return hit and (hit, GOOD if colors[hit[:3]] == GOOD else BAD)
 
 
-def _subset_total(n: int, k: int, budget) -> int:
-    # C(n, k), checked before an exhaustive count tests any subset.
+def _check_k(n: int, k) -> None:
+    # The one k check of the sub-k-gon and certificate entry points: an
+    # int in 1..n, and no bool, float or string standing in for one.
+    if type(k) is not int:
+        raise InputError(f"k = {k!r} is not an integer")
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
+
+
+def _subset_total(n: int, k: int, budget) -> int:
+    # C(n, k), checked before an exhaustive count tests any subset.
+    _check_k(n, k)
     total = math.comb(n, k)
     if total > budget:
         raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
@@ -358,27 +364,14 @@ def count_convex_subgons(
 ) -> tuple[int, list[tuple[int, ...]] | None]:
     """Count the convex sub-k-gons; fails when C(n, k) exceeds the budget.
 
-    Returns (count, subsets) where subsets lists the convex index tuples
-    in lexicographic order when include_subsets is set.  Strict polygons
-    count the leaves of the monochromatic DFS over their sign table,
-    whose build is also the strictness test: it stops at the first
-    collinear index triple.  That DFS stops at the leaf parents: each
-    (k-1)-prefix comes with the bitset of the vertices completing it, the
-    count adds their bit counts, and the list expands each bitset in
-    ascending order.  Other polygons, those with no table, run
-    the supporting-line DFS: a prefix is extended only while every edge
-    between consecutive chosen vertices, and the new one, has all chosen
-    vertices weakly on one side of its line, and the closing edge is
-    checked at the leaf.  That is necessary, as a convex subset's edges
-    with distinct ends lie on hull sides, and on pairwise distinct
-    points sufficient: the edges then lie on hull sides, each run on a
-    side's line goes corner to corner, and no corner sits inside a run,
-    so the edges trace the hull cycle (module docstring).  A leaf that
-    repeats a point is decided by the oracle.  C(n, k) <= budget bounds
-    either DFS to C(n + 1, k) nodes; pruned walks visit far fewer.  With
+    Returns (count, subsets), where subsets lists the convex index tuples
+    in lexicographic order when include_subsets is set, else None.  k
+    must be an int in 1..n.  A strict polygon runs the monochromatic DFS
+    over its sign table, any other the supporting-line DFS; both give
+    exactly the oracle's answers (proof in the module docstring).  With
     oracle_only the definition-level test is applied to every
-    sub-polygon, bypassing both DFSs; certificate verification walks the
-    same generator of oracle-convex subsets, but stops at its first hit.
+    sub-polygon instead; certificate verification walks the same
+    generator of oracle-convex subsets, but stops at its first hit.
     """
     _subset_total(len(P), k, budget)
     vs = P.vertices
@@ -400,28 +393,18 @@ def count_convex_subgons(
 def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     """Find an index subset whose sub-k-gon is convex, or None.
 
-    k <= 3 subsets are always convex.  The polygon's sign table decides
-    strictness as it is built (it stops at the first collinear index
-    triple).  On a strict polygon the answer is the lexicographically
-    least convex subset, from the exhaustive monochromatic DFS over that
-    table (capped at budget nodes); its None is final, and its hit is
-    checked by the sign scan of is_convex's sign route.  Non-strict
-    polygons, those with no table, are perturbed into strict position
-    and searched there by the same DFS, and a hit is re-checked on the
-    original polygon by the oracle's core, the definition.  When that
-    fails (no hit, a hit that is not convex on the original, or a
-    coordinate of absolute value 10^5 or more, which the perturbation
-    cannot scale) the answer is the first leaf of the exact
-    supporting-line DFS of count_convex_subgons, also capped at budget
-    nodes, so the perturbation is an accelerator, never an authority.
-    Its leaves of pairwise distinct points are convex as they stand (see
-    count_convex_subgons); one that repeats a point is decided by the
-    oracle.  budget caps DFS nodes only: the O(n^3) sign table is built
-    in full before the DFS starts.
+    k must be an int in 1..n; k <= 3 returns the first k indices.  On a
+    strict polygon the answer is the lexicographically least convex
+    subset, from the monochromatic DFS over its sign table, and its hit
+    is checked by the sign scan of is_convex's sign route.  A non-strict
+    polygon is first searched in a strict perturbation, whose hit stands
+    only if the oracle's core calls it convex on the original; otherwise
+    the answer is the first leaf of the exact supporting-line DFS of
+    count_convex_subgons (proof in the module docstring), so the
+    perturbation is an accelerator, never an authority.  budget caps DFS
+    nodes only: the O(n^3) table is built in full before the DFS starts.
     """
-    n = len(P)
-    if not 1 <= k <= n:
-        raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    _check_k(len(P), k)
     if k <= 3:
         return tuple(range(k))
     vs = P.vertices

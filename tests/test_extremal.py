@@ -471,6 +471,19 @@ class TestGrow:
         with pytest.raises(PreconditionError):
             grow(unit_square, cfg)
 
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_n_must_be_one_more_than_the_base(self, seven_gon, n):
+        base = sub_polygon(seven_gon, range(5))
+        cfg = SearchConfig(n=n, k=4, seed=4, restarts=1, max_iterations=40)
+        with pytest.raises(InputError, match="n = "):
+            grow(base, cfg)
+
+    def test_n_is_checked_before_the_base(self, unit_square):
+        # an uncertified base with the wrong n: the config is refused first
+        cfg = SearchConfig(n=4, k=4, seed=1, restarts=1, max_iterations=5)
+        with pytest.raises(InputError):
+            grow(unit_square, cfg)
+
     def test_grow_from_certified_five_gon(self, seven_gon):
         base = sub_polygon(seven_gon, (0, 1, 2, 3, 4))
         assert verify_certificate(base, 4).verified

@@ -24,6 +24,7 @@ from eszk import (
     sign_test,
     sub_polygon,
     triple_coloring,
+    verify_certificate,
 )
 import eszk.geometry
 import eszk.subgons
@@ -229,6 +230,16 @@ class TestFind:
         with pytest.raises(CapabilityError):
             find_convex_subgon(P, 5, budget=103)
 
+    def test_budget_counts_the_nodes_up_to_a_non_strict_hit(self):
+        # Non-strict 11-gon (vertices 2 and 7 coincide) whose least
+        # convex sub-5-gon, (2, 3, 4, 6, 7), is the 119th node of the
+        # supporting-line DFS; it repeats a point, so the oracle decides it.
+        vs = Polygon([(37, 9), (-41, 47), (-38, -9), (0, 9), (4, 15), (-5, 5), (-24, 26),
+                      (-38, -9), (31, 39), (-45, -25), (-27, 2)]).vertices
+        assert next(_convex_subsets(vs, 5, 119)) == (2, 3, 4, 6, 7)
+        with pytest.raises(CapabilityError):
+            next(_convex_subsets(vs, 5, 118))
+
     def test_non_convex_hit_raises(self, monkeypatch):
         # a DFS hit that is not convex is an internal inconsistency; the
         # DFS yields the hit (0, 1, 2, 3) as its prefix and the bitset of
@@ -237,6 +248,19 @@ class TestFind:
                             lambda *args: iter([((0, 1, 2), 1 << 3)]))
         with pytest.raises(RuntimeError, match="internal inconsistency"):
             find_convex_subgon(SEVEN_GON_CERTIFICATE, 4)
+
+
+@pytest.mark.parametrize("k", [True, 4.0, "4", None])
+@pytest.mark.parametrize("entry", [
+    find_convex_subgon,
+    count_convex_subgons,
+    verify_certificate,
+    lambda P, m: find_totally_monochromatic(triple_coloring(P), m),
+], ids=["find", "count", "verify", "monochromatic"])
+def test_k_must_be_an_int(entry, k):
+    # a bool, float or string k is refused, not read as a number
+    with pytest.raises(InputError, match="not an integer"):
+        entry(SEVEN_GON_CERTIFICATE, k)
 
 
 class TestColoring:
