@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import CapabilityError, InputError, PreconditionError
-from .geometry import COORD_BOUND, Polygon, _is_strict, _sign_triples, _strict_through
+from .geometry import COORD_BOUND, Polygon, _check_int, _is_strict, _sign_triples, _strict_through
 from .subgons import (
     DEFAULT_BUDGET,
     _oracle_convex,
@@ -64,14 +64,9 @@ class Certificate:
 
     def __post_init__(self):
         n, k, bound, total = len(self.polygon), self.k, self.claimed_bound, self.subgon_total
-        if type(k) is not int:
-            raise InputError(f"k = {k!r} is not an integer")
+        _check_int("k", k, 1, n, "n")
         if type(self.verified) is not bool:
             raise InputError(f"verified = {self.verified!r} is not true or false")
-        if k > n:
-            raise InputError(f"k = {k} exceeds n = {n}")
-        if k < 1:
-            raise InputError(f"k = {k} is below 1")
         if type(bound) is not int or bound != n + 1:
             raise InputError(f"claimed_bound = {bound!r} is not n + 1 = {n + 1}")
         if type(total) is not int or total != math.comb(n, k):
@@ -94,8 +89,7 @@ class Certificate:
         try:
             polygon = Polygon(tuple(v) for v in d["vertices"])
             k, verified, subgon_total = d["k"], d["verified"], d["subgon_total"]
-            int(subgon_total)  # a non-numeric value fails here with int()'s message
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed certificate record: {exc}") from exc
         try:
             return cls(polygon, k, len(polygon) + 1, verified, subgon_total)
@@ -110,7 +104,10 @@ class SearchConfig:
     Restart r runs with a seed derived deterministically from (seed, r),
     so parallel and serial execution give bit-identical results.  When
     initial is set, every restart starts from that polygon instead of a
-    random strict sample.
+    random strict sample.  n, k, seed, box, max_iterations, restarts and
+    radius must be plain ints (a bool, float or string raises
+    InputError): n >= 1, 1 <= k <= n, seed >= 0, 1 <= box <= COORD_BOUND
+    and the last three >= 1.
     """
 
     n: int
@@ -125,16 +122,13 @@ class SearchConfig:
     initial: Polygon | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise InputError("n and k must be positive")
-        if self.k > self.n:
-            raise InputError(f"k = {self.k} exceeds n = {self.n}")
-        if self.seed < 0:
-            raise InputError("seed must be non-negative")
-        if not 1 <= self.box <= COORD_BOUND:
-            raise InputError(f"box must be in [1, {COORD_BOUND}]")
-        if self.max_iterations < 1 or self.restarts < 1 or self.radius < 1:
-            raise InputError("max_iterations, restarts and radius must be positive")
+        _check_int("n", self.n, 1)
+        _check_int("k", self.k, 1, self.n, "n")
+        _check_int("seed", self.seed, 0)
+        _check_int("box", self.box, 1, COORD_BOUND, "COORD_BOUND")
+        _check_int("max_iterations", self.max_iterations, 1)
+        _check_int("restarts", self.restarts, 1)
+        _check_int("radius", self.radius, 1)
         if not self.t0 > 0:
             raise InputError("t0 must be positive")
         if not 0 < self.decay <= 1:
@@ -175,8 +169,7 @@ def bounds_for(k: int, certificates=()) -> BoundRecord:
     re-verification, or is over DEFAULT_BUDGET, is not folded, and
     lower_provenance names it by its position in certificates.
     """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    _check_int("k", k, 1)
     if k <= 3:
         prov = "every polygon with at most three vertices is convex"
         return BoundRecord(k=k, lower=k, lower_provenance=prov, upper=k, upper_provenance=prov)
@@ -476,8 +469,7 @@ def search_extremal(cfg: SearchConfig, workers: int = 1) -> SearchResult:
     objective is re-counted independently, and an objective of zero is
     turned into an exhaustively verified certificate.
     """
-    if workers < 1:
-        raise InputError("workers must be >= 1")
+    _check_int("workers", workers, 1)
     if _counter_bits(cfg.n, cfg.k) > _COUNTER_BITS_LIMIT:
         raise CapabilityError(
             f"the annealing counter's tables for n = {cfg.n}, k = {cfg.k} would take more "

@@ -32,11 +32,17 @@ class Point(NamedTuple):
     y: int
 
 
-def _check_coord(value, label: str = "coordinate") -> int:
+def _check_int(name: str, value, lo: int, hi: int | None = None, bound: str = "") -> int:
+    """Return value if it is a plain int in lo..hi (no upper end when hi
+    is None); otherwise raise InputError, bound naming what hi stands
+    for, as in "k = 5 exceeds n = 4".  A bool, float or string is
+    refused, never read as a number."""
     if type(value) is not int:
-        raise InputError(f"{label} must be a plain int, got {type(value).__name__}: {value!r}")
-    if not -COORD_BOUND <= value <= COORD_BOUND:
-        raise InputError(f"{label} {value} exceeds the bound {COORD_BOUND}")
+        raise InputError(f"{name} = {value!r} is not an integer")
+    if value < lo:
+        raise InputError(f"{name} = {value} is below {lo}")
+    if hi is not None and value > hi:
+        raise InputError(f"{name} = {value} exceeds {bound} = {hi}")
     return value
 
 
@@ -46,7 +52,10 @@ def as_point(p) -> Point:
         x, y = p
     except (TypeError, ValueError):
         raise InputError(f"not an (x, y) pair: {p!r}") from None
-    return Point(_check_coord(x, "x"), _check_coord(y, "y"))
+    return Point(
+        _check_int("x", x, -COORD_BOUND, COORD_BOUND, "COORD_BOUND"),
+        _check_int("y", y, -COORD_BOUND, COORD_BOUND, "COORD_BOUND"),
+    )
 
 
 @dataclass(frozen=True)
@@ -293,10 +302,8 @@ def perturb_to_strict(P: Polygon, scale: int, jitter: int, seed) -> Polygon:
     fixed seed.  A strict polygon with jitter 0 comes back as its exact
     scale-multiple (the identity when scale is 1).
     """
-    if scale < 1:
-        raise InputError(f"scale must be >= 1, got {scale}")
-    if jitter < 0:
-        raise InputError(f"jitter must be >= 0, got {jitter}")
+    _check_int("scale", scale, 1)
+    _check_int("jitter", jitter, 0)
     if 2 * jitter >= scale:
         raise InputError(f"jitter {jitter} must be smaller than scale/2 = {scale / 2:g}")
     worst = max(max(abs(v.x), abs(v.y)) for v in P.vertices)

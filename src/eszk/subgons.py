@@ -52,7 +52,7 @@ from typing import Mapping
 
 from .convexity import _oracle_fail
 from .errors import CapabilityError, ExhaustionError, InputError, PreconditionError
-from .geometry import Polygon, _sign_scan, perturb_to_strict
+from .geometry import Polygon, _check_int, _sign_scan, perturb_to_strict
 
 GOOD = "good"
 BAD = "bad"
@@ -76,26 +76,16 @@ class TripleColoring:
     colors: Mapping[tuple[int, int, int], str]
 
 
-def validate_index_subset(s, n: int) -> tuple[int, ...]:
-    """Check that s is a strictly increasing tuple of indices in [0, n)."""
+def sub_polygon(P: Polygon, s) -> Polygon:
+    """The sub-polygon (V_{i0}, ..., V_{ik-1}) for strictly increasing
+    indices s in 0..n-1."""
     idx = tuple(s)
     if not idx:
         raise InputError("index subset must not be empty")
-    prev = -1
     for i in idx:
-        if type(i) is not int:
-            raise InputError(f"index {i!r} is not a plain int")
-        if not 0 <= i < n:
-            raise InputError(f"index {i} out of range for a {n}-gon")
-        if i <= prev:
-            raise InputError(f"indices must be strictly increasing, got {idx}")
-        prev = i
-    return idx
-
-
-def sub_polygon(P: Polygon, s) -> Polygon:
-    """The sub-polygon (V_{i0}, ..., V_{ik-1}) for increasing indices s."""
-    idx = validate_index_subset(s, len(P))
+        _check_int("index", i, 0, len(P) - 1, "n - 1")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise InputError(f"indices must be strictly increasing, got {idx}")
     return Polygon(P.vertices[i] for i in idx)
 
 
@@ -306,13 +296,8 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
     as the convex-subgon search, capped at DEFAULT_BUDGET nodes.  The
     coloring must give every increasing index triple of range(n), and
     nothing else, the color GOOD or BAD; otherwise InputError."""
-    if type(m) is not int:
-        raise InputError(f"m = {m!r} is not an integer")
-    if m < 3:
-        raise InputError(f"m must be >= 3, got {m}")
-    n = coloring.n
-    if type(n) is not int or n < 0:
-        raise InputError(f"coloring n = {n!r} is not a non-negative integer")
+    _check_int("m", m, 3)
+    n = _check_int("coloring n", coloring.n, 0)
     colors = coloring.colors
     if len(colors) != math.comb(n, 3):
         raise InputError(f"coloring has {len(colors)} triples; n = {n} has {math.comb(n, 3)}")
@@ -330,18 +315,9 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
     return hit and (hit, GOOD if colors[hit[:3]] == GOOD else BAD)
 
 
-def _check_k(n: int, k) -> None:
-    # The one k check of the sub-k-gon and certificate entry points: an
-    # int in 1..n, and no bool, float or string standing in for one.
-    if type(k) is not int:
-        raise InputError(f"k = {k!r} is not an integer")
-    if not 1 <= k <= n:
-        raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-
-
 def _subset_total(n: int, k: int, budget) -> int:
     # C(n, k), checked before an exhaustive count tests any subset.
-    _check_k(n, k)
+    _check_int("k", k, 1, n, "n")
     total = math.comb(n, k)
     if total > budget:
         raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
@@ -404,7 +380,7 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     perturbation is an accelerator, never an authority.  budget caps DFS
     nodes only: the O(n^3) table is built in full before the DFS starts.
     """
-    _check_k(len(P), k)
+    _check_int("k", k, 1, len(P), "n")
     if k <= 3:
         return tuple(range(k))
     vs = P.vertices

@@ -204,7 +204,7 @@ class TestVerifyCertificate:
         assert verify_certificate(SEVEN_GON_CERTIFICATE, 4).verified
         assert len(calls) == 35
         calls.clear()
-        with pytest.raises(InputError, match="k must satisfy 1 <= k <= 10, got 11"):
+        with pytest.raises(InputError, match="k = 11 exceeds n = 10"):
             verify_certificate(parabola, 11)
         with pytest.raises(CapabilityError, match=r"C\(10,5\) = 252 subsets exceed the budget 251"):
             verify_certificate(parabola, 5, budget=251)
@@ -227,6 +227,13 @@ class TestSearchConfig:
             {"n": 7, "k": 4, "seed": 1, "decay": 0.0},
             {"n": 7, "k": 4, "seed": 1, "t0": 0.0},
             {"n": 7, "k": 4, "seed": 1, "radius": 0},
+            {"n": 7.0, "k": 4, "seed": 1},
+            {"n": 7, "k": True, "seed": 1},
+            {"n": 7, "k": 4, "seed": 1.5},
+            {"n": 7, "k": 4, "seed": 1, "box": 50.5},
+            {"n": 7, "k": 4, "seed": 1, "max_iterations": 5.5},
+            {"n": 7, "k": 4, "seed": 1, "restarts": True},
+            {"n": 7, "k": 4, "seed": 1, "radius": 2.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -363,8 +370,9 @@ class TestSearch:
 
     def test_workers_validation(self):
         cfg = SearchConfig(n=5, k=4, seed=1, restarts=1, max_iterations=1)
-        with pytest.raises(InputError):
-            search_extremal(cfg, workers=0)
+        for workers in (0, True, 1.5):
+            with pytest.raises(InputError):
+                search_extremal(cfg, workers=workers)
 
     def test_small_box_unsatisfiable(self):
         # 3x3 lattice cannot hold a strict 7-gon

@@ -75,7 +75,7 @@ def test_corrupt_store_rejected(tmp_path):
     "field, value, reason",
     [
         ("vertices", [[0, 0], [1, 2, 3], [0, 1], [1, 1]], "(1, 2, 3)"),
-        ("subgon_total", "many", "invalid literal for int()"),
+        ("subgon_total", "many", "subgon_total = 'many' is not C(7, 4) = 35"),
         ("subgon_total", 35.9, "subgon_total = 35.9 is not C(7, 4) = 35"),
         ("subgon_total", "35", "subgon_total = '35' is not C(7, 4) = 35"),
         ("subgon_total", 34, "subgon_total = 34 is not C(7, 4) = 35"),

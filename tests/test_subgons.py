@@ -13,7 +13,9 @@ from eszk import (
     Polygon,
     PreconditionError,
     SEVEN_GON_CERTIFICATE,
+    SearchConfig,
     TripleColoring,
+    bounds_for,
     classify,
     count_convex_subgons,
     find_convex_subgon,
@@ -256,7 +258,9 @@ class TestFind:
     count_convex_subgons,
     verify_certificate,
     lambda P, m: find_totally_monochromatic(triple_coloring(P), m),
-], ids=["find", "count", "verify", "monochromatic"])
+    lambda P, k: bounds_for(k),
+    lambda P, k: SearchConfig(n=7, k=k, seed=1),
+], ids=["find", "count", "verify", "monochromatic", "bounds", "search-config"])
 def test_k_must_be_an_int(entry, k):
     # a bool, float or string k is refused, not read as a number
     with pytest.raises(InputError, match="not an integer"):
