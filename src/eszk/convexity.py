@@ -65,7 +65,7 @@ def sign_test(P: Polygon) -> ConvexityVerdict:
     verdict = is_convex(P)
     if verdict.method != METHOD_SIGN_TEST:
         # on n >= 4 every other route means a non-strict polygon
-        vs = P.vertices
+        vs = P._xy
         raise PreconditionError(
             f"sign_test needs a strict polygon with n >= 4 "
             f"(got n={len(vs)}, strict={len(vs) <= 3 and _is_strict(vs)}); use oracle_test instead"
@@ -203,7 +203,7 @@ def oracle_test(P: Polygon) -> ConvexityVerdict:
     side's line that are matched elsewhere are single points at a
     corner, and a single point cannot close a gap in a side.
     """
-    return _oracle_verdict(P.vertices)
+    return _oracle_verdict(P._xy)
 
 
 def is_convex(P: Polygon) -> ConvexityVerdict:
@@ -235,7 +235,7 @@ def is_convex(P: Polygon) -> ConvexityVerdict:
     stands only on a strict polygon, and the rest go through
     oracle_test.
     """
-    vs = P.vertices
+    vs = P._xy
     if len(vs) <= 3:
         return ConvexityVerdict(True, METHOD_SMALL_N)
     fail = _sign_scan(vs)
@@ -275,15 +275,15 @@ def to_one_side(P: Polygon) -> ToOneSideWitness | None:
     boundary.  O(n h) for h hull corners; an edge with a corner end
     costs O(1) by oracle_test's corner lookup.
     """
-    vs = P.vertices
+    vs = P._xy
     n = len(vs)
     hull = _hull(vs)
     if len(hull) == 1:
         return ToOneSideWitness(((1, 0),) * n)
     if len(hull) == 2:
         # all vertices project equally onto a normal of the carrier line
-        b = next(v for v in vs if v != vs[0])
-        return ToOneSideWitness((_perp_ccw(b.x - vs[0].x, b.y - vs[0].y),) * n)
+        (ax, ay), (bx, by) = vs[0], next(v for v in vs if v != vs[0])
+        return ToOneSideWitness((_perp_ccw(bx - ax, by - ay),) * n)
 
     corner = {p: j for j, p in enumerate(hull)}
     normals = []
@@ -296,8 +296,8 @@ def to_one_side(P: Polygon) -> ToOneSideWitness | None:
         p, q = hull[s], hull[s + 1 - len(hull)]
         # the side's counterclockwise direction, scaled to the edge; an
         # edge between the side's corners is the side itself
-        u, v = (p, q) if sa is None or sa == sb else (a, b) if sb > sa else (b, a)
-        normals.append(_perp_ccw(v.x - u.x, v.y - u.y))
+        (ux, uy), (vx, vy) = (p, q) if sa is None or sa == sb else (a, b) if sb > sa else (b, a)
+        normals.append(_perp_ccw(vx - ux, vy - uy))
     return ToOneSideWitness(tuple(normals))
 
 
@@ -314,7 +314,7 @@ def is_pre_convex(P: Polygon) -> bool:
     corner is found by oracle_test's corner lookup; any other vertex
     costs O(h) for h hull corners.
     """
-    vs = P.vertices
+    vs = P._xy
     hull = _hull(vs)
     corner = {p: j for j, p in enumerate(hull)}
     return all(_edge_side(hull, corner, v, v) is not None for v in vs)
@@ -342,6 +342,6 @@ def convex_permutations(P: Polygon) -> tuple[int, list[tuple[int, ...]]]:
         hits = list(perms)
     else:
         fails = _sign_scan if method == METHOD_SIGN_TEST else _oracle_fail
-        vs = P.vertices
+        vs = P._xy
         hits = [perm for perm in perms if fails(tuple(vs[i] for i in perm)) is None]
     return len(hits), hits

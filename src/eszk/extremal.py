@@ -84,12 +84,13 @@ class Certificate:
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
         """Rebuild a record, parsing only: the bound is n + 1, never read
-        from the record, and the constructor's InputError gains the
-        prefix "malformed certificate record: "."""
+        from the record.  A missing key, a bad vertex and the
+        constructor's InputError all raise InputError with the prefix
+        "malformed certificate record: "."""
         try:
             polygon = Polygon(tuple(v) for v in d["vertices"])
             k, verified, subgon_total = d["k"], d["verified"], d["subgon_total"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"malformed certificate record: {exc}") from exc
         try:
             return cls(polygon, k, len(polygon) + 1, verified, subgon_total)
@@ -107,7 +108,9 @@ class SearchConfig:
     random strict sample.  n, k, seed, box, max_iterations, restarts and
     radius must be plain ints (a bool, float or string raises
     InputError): n >= 1, 1 <= k <= n, seed >= 0, 1 <= box <= COORD_BOUND
-    and the last three >= 1.
+    and the last three >= 1.  t0 > 0 and 0 < decay <= 1 must be an int
+    or a float, not a bool, and initial a Polygon or None; anything else
+    raises InputError too.
     """
 
     n: int
@@ -129,18 +132,24 @@ class SearchConfig:
         _check_int("max_iterations", self.max_iterations, 1)
         _check_int("restarts", self.restarts, 1)
         _check_int("radius", self.radius, 1)
+        for name in ("t0", "decay"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise InputError(f"{name} = {value!r} is not a number")
         if not self.t0 > 0:
             raise InputError("t0 must be positive")
         if not 0 < self.decay <= 1:
             raise InputError("decay must be in (0, 1]")
         if self.initial is not None:
+            if not isinstance(self.initial, Polygon):
+                raise InputError(f"initial = {self.initial!r} is not a Polygon")
             if len(self.initial) != self.n:
                 raise InputError(
                     f"initial polygon has {len(self.initial)} vertices, config says n = {self.n}"
                 )
-            if any(max(abs(v.x), abs(v.y)) > self.box for v in self.initial.vertices):
+            if any(max(abs(x), abs(y)) > self.box for x, y in self.initial._xy):
                 raise InputError("initial polygon leaves the coordinate box")
-            if not _is_strict(self.initial.vertices):
+            if not _is_strict(self.initial._xy):
                 raise InputError("initial polygon is not strict: it has a collinear vertex triple")
 
 
@@ -236,7 +245,7 @@ def verify_certificate(P: Polygon, k: int, budget: int = DEFAULT_BUDGET) -> Cert
     raise before any subset is tested.
     """
     total = _subset_total(len(P), k, budget)
-    convex = next(_oracle_convex(P.vertices, k), None)
+    convex = next(_oracle_convex(P._xy, k), None)
     return Certificate(P, k, len(P) + 1, convex is None, total)
 
 
@@ -427,7 +436,7 @@ def _run_restart(cfg: SearchConfig, index: int):
     """One annealing restart; returns (objective, coords)."""
     rng = random.Random(_derived_seed(cfg.seed, index))
     if cfg.initial is not None:
-        coords = [(v.x, v.y) for v in cfg.initial.vertices]
+        coords = list(cfg.initial._xy)
     else:
         coords = _sample_strict(rng, cfg.n, cfg.box)
     counter = _SubgonCounter(coords, cfg.k)
@@ -531,10 +540,10 @@ def _grow(P: Polygon, cfg: SearchConfig) -> Certificate | None:
             f"grow needs a verified certificate; the input {len(P)}-gon has "
             f"convex sub-{cfg.k}-gons"
         )
-    if not _is_strict(P.vertices):
+    if not _is_strict(P._xy):
         return None  # no insertion into a non-strict polygon can be strict
     n = len(P)
-    vs = [(v.x, v.y) for v in P.vertices]
+    vs = list(P._xy)
     rng = random.Random(cfg.seed)
     for _ in range(cfg.max_iterations):
         p = (rng.randint(-cfg.box, cfg.box), rng.randint(-cfg.box, cfg.box))

@@ -65,11 +65,19 @@ class Polygon:
     Order matters and duplicate vertices are allowed; edge i joins vertex
     i to vertex i+1, with the last edge closing back to vertex 0.
     Instances are immutable value objects.
+
+    The coordinates are held twice: vertices gives callers Points, and
+    the private _xy gives the kernels the same pairs as exact (int, int)
+    tuples.  CPython unpacks an exact tuple on a fast path that a tuple
+    subclass such as Point misses (x, y = p costs several times as much
+    on a Point), and the kernels unpack a pair per determinant.  _xy is
+    not a field: equality, hashing and the repr read vertices alone, and
+    a pickle or copy rebuilds it through __init__.
     """
 
     # Slots written out rather than slots=True, whose rebuilt class makes
     # the frozen __setattr__ raise TypeError for a name that is not a field.
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_xy")
     vertices: tuple[Point, ...]
 
     def __init__(self, points: Iterable):
@@ -77,6 +85,7 @@ class Polygon:
         if not vs:
             raise InputError("a polygon needs at least one vertex")
         object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "_xy", tuple(map(tuple, vs)))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -129,9 +138,9 @@ def _dimension(vs) -> int:
     others = [v for v in vs if v != first]
     if not others:
         return 0
-    b = others[0]
-    for c in others[1:]:
-        if _det(first.x, first.y, b.x, b.y, c.x, c.y) != 0:
+    (ax, ay), (bx, by) = first, others[0]
+    for cx, cy in others[1:]:
+        if _det(ax, ay, bx, by, cx, cy) != 0:
             return 2
     return 1
 
@@ -163,7 +172,8 @@ def _sign_scan(vs):
     ref = 0
     ref_triple = None
     for a, b, c in _sign_triples(len(vs)):
-        d = _det(vs[a].x, vs[a].y, vs[b].x, vs[b].y, vs[c].x, vs[c].y)
+        (ax, ay), (bx, by), (cx, cy) = vs[a], vs[b], vs[c]
+        d = _det(ax, ay, bx, by, cx, cy)
         if d == 0:
             return (a, b, c), 0, ref_triple, ref
         s = 1 if d > 0 else -1
@@ -228,7 +238,7 @@ def classify(P: Polygon) -> ClassificationReport:
     ordinariness and dimension cost O(n), and strictness of an ordinary
     planar polygon O(n^2) expected time (_is_strict).
     """
-    vs = P.vertices
+    vs = P._xy
     n = len(vs)
     if n >= 3 and _sign_scan(vs) is None:
         return ClassificationReport(n=n, strict=True, ordinary=True, dimension=2)
@@ -261,7 +271,7 @@ def convex_hull(points) -> tuple[list[Point], frozenset[Point]]:
 
 def _hull(points) -> list:
     """The counterclockwise corner cycle of a non-empty collection of
-    (x, y) int pairs, such as Polygon.vertices, which need no second
+    (x, y) int pairs, such as a Polygon's _xy, which need no second
     validation; coordinates are read by tuple unpacking.  The cycle
     starts at the least point in (x, y) order and is the one
     convex_hull returns: a single point, or the two ends of a segment,
@@ -318,7 +328,7 @@ def perturb_to_strict(P: Polygon, scale: int, jitter: int, seed) -> Polygon:
             (scale * v.x + rng.randint(-jitter, jitter), scale * v.y + rng.randint(-jitter, jitter))
             for v in P.vertices
         )
-        if _is_strict(candidate.vertices):
+        if _is_strict(candidate._xy):
             return candidate
     raise ExhaustionError(
         f"no strict perturbation found in {PERTURB_MAX_ATTEMPTS} attempts "

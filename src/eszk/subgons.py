@@ -86,14 +86,14 @@ def sub_polygon(P: Polygon, s) -> Polygon:
         _check_int("index", i, 0, len(P) - 1, "n - 1")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise InputError(f"indices must be strictly increasing, got {idx}")
-    return Polygon(P.vertices[i] for i in idx)
+    return Polygon(P._xy[i] for i in idx)
 
 
 def triple_coloring(P: Polygon) -> TripleColoring:
     """Color every index triple good (positive orientation) or bad
     (negative).  Defined only for strict polygons, where no determinant
     vanishes; the sign table decides that as it is built."""
-    pos = _polygon_signs(P.vertices)
+    pos = _polygon_signs(P._xy)
     if pos is None:
         raise PreconditionError("triple_coloring needs a strict polygon")
     n = len(pos)
@@ -350,7 +350,7 @@ def count_convex_subgons(
     generator of oracle-convex subsets, but stops at its first hit.
     """
     _subset_total(len(P), k, budget)
-    vs = P.vertices
+    vs = P._xy
     if oracle_only:
         hits = _oracle_convex(vs, k)
     elif (signs := _polygon_signs(vs)) is not None:
@@ -383,7 +383,7 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     _check_int("k", k, 1, len(P), "n")
     if k <= 3:
         return tuple(range(k))
-    vs = P.vertices
+    vs = P._xy
     signs = _polygon_signs(vs)
     if signs is not None:
         hit = _first_leaf(_monochromatic(signs, k, budget))
@@ -396,7 +396,7 @@ def find_convex_subgon(P: Polygon, k: int, budget: int = DEFAULT_BUDGET):
     try:
         Q = perturb_to_strict(P, _PERTURB_SCALE, _PERTURB_JITTER, _PERTURB_SEED)
         # strict by construction, so Q always has a table
-        hit = _first_leaf(_monochromatic(_polygon_signs(Q.vertices), k, budget))
+        hit = _first_leaf(_monochromatic(_polygon_signs(Q._xy), k, budget))
     except (InputError, ExhaustionError):
         hit = None  # no strict perturbation
     if hit is not None and _oracle_fail(tuple(vs[i] for i in hit)) is None:

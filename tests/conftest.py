@@ -77,6 +77,43 @@ def random_convex_polygon(rng, n, box):
             return Polygon(cycle[i] for i in picks)
 
 
+def degenerate_pool(rng, count):
+    """Random polygons biased toward duplicates, collinear runs, and
+    convex positives (including non-strict convex shapes)."""
+    pool = []
+    while len(pool) < count:
+        style = rng.randrange(6)
+        n = rng.randint(4, 8)
+        if style == 0:  # tiny box: collisions and collinear triples abound
+            pool.append(Polygon((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)))
+        elif style == 1:  # strictly convex positive
+            pool.append(random_convex_polygon(rng, n, 20))
+        elif style == 2:  # convex with a duplicated vertex
+            base = random_convex_polygon(rng, n - 1, 20)
+            vs = list(base.vertices)
+            i = rng.randrange(len(vs))
+            vs.insert(i, vs[i])
+            pool.append(Polygon(vs))
+        elif style == 3:  # convex with a vertex interior to an edge
+            base = random_convex_polygon(rng, n - 1, 20)
+            vs = list(base.vertices)
+            for i in range(len(vs)):
+                a, b = vs[i], vs[(i + 1) % len(vs)]
+                if (a.x + b.x) % 2 == 0 and (a.y + b.y) % 2 == 0:
+                    vs.insert(i + 1, ((a.x + b.x) // 2, (a.y + b.y) // 2))
+                    break
+            pool.append(Polygon(vs))
+        elif style == 4:  # collinear run (dimension <= 1)
+            x0, y0 = rng.randint(-20, 20), rng.randint(-20, 20)
+            dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
+            pool.append(
+                Polygon((x0 + t * dx, y0 + t * dy) for t in (rng.randint(-5, 5) for _ in range(n)))
+            )
+        else:  # moderate box: mixed population
+            pool.append(Polygon((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(n)))
+    return pool
+
+
 @pytest.fixture
 def seven_gon():
     return Polygon([(-13, 0), (15, 0), (0, 16), (18, 39), (27, -15), (10, 20), (16, 30)])

@@ -28,7 +28,7 @@ from eszk import (
     verify_certificate,
 )
 from eszk.cli import main
-from conftest import det, random_convex_polygon, random_strict_polygon
+from conftest import det, degenerate_pool, random_convex_polygon, random_strict_polygon
 
 SEVEN_JSON = '{"vertices": [[-13,0],[15,0],[0,16],[18,39],[27,-15],[10,20],[16,30]]}'
 
@@ -204,48 +204,11 @@ def test_criterion_5_thirteen_gon_sampling():
     print(f"\nACCEPTANCE 5 PASS: 1000/1000 strict 13-gons, {elapsed:.1f} s")
 
 
-def _degenerate_pool(rng, count):
-    """Random polygons biased toward duplicates, collinear runs, and
-    convex positives (including non-strict convex shapes)."""
-    pool = []
-    while len(pool) < count:
-        style = rng.randrange(6)
-        n = rng.randint(4, 8)
-        if style == 0:  # tiny box: collisions and collinear triples abound
-            pool.append(Polygon((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)))
-        elif style == 1:  # strictly convex positive
-            pool.append(random_convex_polygon(rng, n, 20))
-        elif style == 2:  # convex with a duplicated vertex
-            base = random_convex_polygon(rng, n - 1, 20)
-            vs = list(base.vertices)
-            i = rng.randrange(len(vs))
-            vs.insert(i, vs[i])
-            pool.append(Polygon(vs))
-        elif style == 3:  # convex with a vertex interior to an edge
-            base = random_convex_polygon(rng, n - 1, 20)
-            vs = list(base.vertices)
-            for i in range(len(vs)):
-                a, b = vs[i], vs[(i + 1) % len(vs)]
-                if (a.x + b.x) % 2 == 0 and (a.y + b.y) % 2 == 0:
-                    vs.insert(i + 1, ((a.x + b.x) // 2, (a.y + b.y) // 2))
-                    break
-            pool.append(Polygon(vs))
-        elif style == 4:  # collinear run (dimension <= 1)
-            x0, y0 = rng.randint(-20, 20), rng.randint(-20, 20)
-            dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
-            pool.append(
-                Polygon((x0 + t * dx, y0 + t * dy) for t in (rng.randint(-5, 5) for _ in range(n)))
-            )
-        else:  # moderate box: mixed population
-            pool.append(Polygon((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(n)))
-    return pool
-
-
 def test_criterion_6_sub4_implies_convex():
     """Whenever all sub-4-gons of an n <= 8 polygon pass the oracle, the
     polygon itself passes the oracle; 5000+ degenerate-heavy instances."""
     rng = random.Random(424242)
-    pool = _degenerate_pool(rng, 5000)
+    pool = degenerate_pool(rng, 5000)
     positives = 0
     counterexamples = 0
     for P in pool:

@@ -153,6 +153,17 @@ class TestVerifyCertificate:
         with pytest.raises(InputError, match=field):
             Certificate.from_dict(record)
 
+    @pytest.mark.parametrize(
+        "vertices, reason",
+        [([[0, 0], [1, 2, 3]], "not an (x, y) pair: (1, 2, 3)"),
+         ([[0, 1.5]], "y = 1.5 is not an integer")],
+    )
+    def test_from_dict_bad_vertex_is_a_malformed_record(self, vertices, reason):
+        record = dict(k=1, vertices=vertices, claimed_bound=2, verified=True, subgon_total=1)
+        with pytest.raises(InputError) as info:
+            Certificate.from_dict(record)
+        assert str(info.value) == f"malformed certificate record: {reason}"
+
     def test_json_shape(self):
         d = verify_certificate(SEVEN_GON_CERTIFICATE, 4).to_dict()
         assert set(d) == {"k", "vertices", "claimed_bound", "verified", "subgon_total"}
@@ -216,6 +227,7 @@ class TestSearchConfig:
         cfg = SearchConfig(n=7, k=4, seed=1)
         assert (cfg.box, cfg.max_iterations, cfg.restarts) == (50, 5000, 200)
         assert (cfg.t0, cfg.decay, cfg.radius) == (2.0, 0.999, 5)
+        assert SearchConfig(n=7, k=4, seed=1, t0=3, decay=1).t0 == 3  # an int is a number
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -239,6 +251,16 @@ class TestSearchConfig:
     def test_validation(self, kwargs):
         with pytest.raises(InputError):
             SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t0", "2"), ("t0", True), ("t0", None), ("decay", None), ("decay", True),
+         ("decay", "0.9"), ("initial", [(0, 0), (3, 0), (0, 3)] * 2 + [(1, 1)]),
+         ("initial", ((0, 0),) * 7)],
+    )
+    def test_non_int_fields_raise_input_error(self, field, value):
+        with pytest.raises(InputError, match=f"^{field} = "):
+            SearchConfig(n=7, k=4, seed=1, **{field: value})
 
     def test_initial_must_match(self, seven_gon):
         with pytest.raises(InputError):

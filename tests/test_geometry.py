@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,8 +20,18 @@ from eszk import (
     sign_test,
 )
 import eszk.geometry
-from eszk.geometry import _is_strict, _sign_scan, _strict_through
-from conftest import det, extreme_points_brute, is_strict_brute, parabola_polygon, random_polygon
+from eszk.convexity import _oracle_fail
+from eszk.geometry import _dimension, _hull, _is_strict, _sign_scan, _strict_through
+from eszk.subgons import _polygon_signs
+from conftest import (
+    degenerate_pool,
+    det,
+    extreme_points_brute,
+    is_strict_brute,
+    parabola_polygon,
+    random_polygon,
+    random_strict_polygon,
+)
 
 coord = st.integers(-1000, 1000)
 point = st.tuples(coord, coord)
@@ -96,9 +108,11 @@ def test_polygon_is_an_immutable_value():
     assert (P == ((1, 2), (3, 4))) is False
     assert eval(repr(P), {"Polygon": Polygon}) == P
     assert not hasattr(P, "__dict__")
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        R = pickle.loads(pickle.dumps(P, protocol))
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for R in [pickle.loads(pickle.dumps(P, p)) for p in protocols] + [copy.deepcopy(P)]:
         assert R == P and type(R.vertices[0]) is Point
+        # the kernels' exact-tuple slot is rebuilt, not carried over
+        assert R._xy == P.vertices and all(type(v) is tuple for v in R._xy)
 
 
 def test_polygon_assignment_raises_frozen_instance_error():
@@ -110,6 +124,20 @@ def test_polygon_assignment_raises_frozen_instance_error():
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         R = pickle.loads(pickle.dumps(P, protocol))
         assert R == P and type(R) is Polygon and type(R.vertices[0]) is Point
+
+
+def test_kernels_read_points_and_int_pairs_alike():
+    # Polygon keeps its coordinates as Points (vertices) and as exact int
+    # tuples (_xy, what the kernels read); every kernel answers alike on both.
+    rng = random.Random(2525)
+    pool = degenerate_pool(rng, 1500)
+    pool += [random_strict_polygon(rng, rng.randint(3, 40), 10**6) for _ in range(60)]
+    pool += [random_polygon(rng, rng.randint(1, 3), 3) for _ in range(60)]
+    kernels = (_is_strict, _sign_scan, _dimension, _hull, _oracle_fail, _polygon_signs)
+    for P in pool:
+        assert P._xy == P.vertices and all(type(v) is tuple for v in P._xy)
+        for kernel in kernels:
+            assert kernel(P.vertices) == kernel(P._xy), (kernel.__name__, P)
 
 
 def test_polygon_encoding():

@@ -82,6 +82,8 @@ def test_corrupt_store_rejected(tmp_path):
         ("k", 0, "k = 0 is below 1"),
         ("verified", "false", "verified = 'false'"),
         ("k", "4", "k = '4'"),
+        ("vertices", [[0, 0], [1, 0], [0, 1], [1, 1.5]],
+         "certificates[1]: malformed certificate record: y = 1.5 is not an integer"),
     ],
 )
 def test_malformed_record_error_gives_position(tmp_path, field, value, reason):
