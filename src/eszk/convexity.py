@@ -121,8 +121,9 @@ def _oracle_fail(vs):
     """The oracle's walk without a verdict: None when vs is convex by the
     definition (oracle_test), otherwise the index of the first edge that
     leaves the hull boundary, or else the first hull side (p, q), in hull
-    order, that the edges leave uncovered.  Exhaustive counts test this
-    directly, so they build no verdict and no witness string."""
+    order, that the edges leave uncovered.  Exhaustive counts and the
+    leaves of the supporting-line walk test this directly, so they build
+    no verdict and no witness string."""
     hull = _hull(vs)
     h = len(hull)
     if h <= 2:

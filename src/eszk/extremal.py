@@ -4,8 +4,10 @@ An n-gon exhaustively verified to contain no convex sub-k-gon proves
 that the least forcing size for convex sub-k-gons is at least n+1.  The
 classical 7-gon below witnesses the k = 4 bound of 8; the annealing
 search tries to find (and grow) further such configurations.  Every
-claim is re-checked by the definition-level oracle: a certificate never
-rests on the optimized code path.
+claim is re-checked against the definition: a supporting-line walk rules
+subsets out by a lemma of the definition, and the definition-level
+oracle judges each subset that survives, so a certificate never rests on
+the sign route.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import CapabilityError, InputError, PreconditionError
 from .geometry import COORD_BOUND, Polygon, _check_int, _is_strict, _sign_triples, _strict_through
 from .subgons import (
     DEFAULT_BUDGET,
-    _oracle_convex,
+    _convex_subsets,
     _polygon_signs,
     _subset_total,
     count_convex_subgons,
@@ -49,8 +51,9 @@ class BoundRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Exhaustive non-convexity record: verified means every one of the
-    C(n, k) sub-k-gons failed the definition-level convexity oracle,
+    """Exhaustive non-convexity record: verified means none of the
+    C(n, k) sub-k-gons is convex, each ruled out by the supporting-line
+    lemma or by the definition-level oracle (verify_certificate),
     proving the bound claimed_bound = n + 1.  The constructor, so
     dataclasses.replace too, raises InputError unless k is an int in
     1..n, verified a bool, claimed_bound n + 1 and subgon_total C(n, k):
@@ -234,18 +237,32 @@ def bounds_for(k: int, certificates=()) -> BoundRecord:
 
 
 def verify_certificate(P: Polygon, k: int, budget: int = DEFAULT_BUDGET) -> Certificate:
-    """Exhaustively test the sub-k-gons with the definition-level oracle.
+    """Test the sub-k-gons against the definition-level oracle.
 
-    The fast sign route is deliberately not trusted here: a bound claim
-    must not rest on the optimized path.  Each subset goes through the
-    oracle's witness-free core, the walk oracle_test words its verdicts
-    from, so no verdict or witness string is built per subset.  The first
-    convex subset from the generator that count_convex_subgons(...,
-    oracle_only=True) sums ends the test; the k-range and budget checks
-    raise before any subset is tested.
+    The sign route is deliberately not trusted here: a bound claim must
+    not rest on the optimized path.  Subsets are instead walked by the
+    supporting-line DFS of count_convex_subgons, which prunes by a lemma
+    of the definition alone.  Let S be a convex sub-k-gon and (u, v) an
+    edge of S with V_u != V_v.  The edge lies on the boundary of conv S,
+    hence on a supporting line, so every vertex of S lies weakly on one
+    side of line(u, v).  The consecutive pairs of an index prefix are
+    edges of each of its completions, so a prefix that breaks the rule
+    has no convex completion, and a leaf that breaks it on its last or
+    closing edge is not convex.  Every leaf that survives, distinct
+    points or not, goes to the oracle's witness-free core, and the first
+    one it calls convex ends the test.  So a verified certificate rests
+    on the lemma and the oracle, never on the sign route or on the
+    sufficiency half of the edge rule.
+
+    subgon_total is still C(n, k): each subset is judged, by the lemma
+    at a prefix or by the oracle at a leaf.  The k-range and budget
+    checks on C(n, k) raise before the walk starts, and they bound it
+    too: a visited node is a prefix of t+1 indices with room for the
+    k - t - 1 it lacks, a (t+1)-subset of range(n - k + t + 1), so the
+    walk visits at most C(n+1, k) - 1 nodes, (n+1)/(n+1-k) times C(n, k).
     """
     total = _subset_total(len(P), k, budget)
-    convex = next(_oracle_convex(P._xy, k), None)
+    convex = next(_convex_subsets(P._xy, k, math.inf, oracle=True), None)
     return Certificate(P, k, len(P) + 1, convex is None, total)
 
 

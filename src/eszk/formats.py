@@ -27,7 +27,7 @@ def detect_format(text: str) -> str:
     return FORMAT_JSON if head.startswith(("{", "[")) else FORMAT_TEXT
 
 
-def _check_int(value, where: str) -> int:
+def _coordinate(value, where: str) -> int:
     if type(value) is not int:  # bool is not an acceptable coordinate either
         raise ParseError(f"{where}: expected an integer, got {value!r}")
     if not -COORD_BOUND <= value <= COORD_BOUND:
@@ -49,8 +49,8 @@ def _parse_json(text: str) -> Polygon:
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"vertices[{i}]: expected a pair [x, y], got {entry!r}")
-        x = _check_int(entry[0], f"vertices[{i}][0]")
-        y = _check_int(entry[1], f"vertices[{i}][1]")
+        x = _coordinate(entry[0], f"vertices[{i}][0]")
+        y = _coordinate(entry[1], f"vertices[{i}][1]")
         pairs.append((x, y))
     return Polygon(pairs)
 
@@ -69,8 +69,8 @@ def _parse_text(text: str) -> Polygon:
             if not _INT_TOKEN.match(tok):
                 raise ParseError(f"line {lineno}: {tok!r} is not an ASCII decimal integer")
             coords.append(int(tok, 10))
-        x = _check_int(coords[0], f"line {lineno}, x")
-        y = _check_int(coords[1], f"line {lineno}, y")
+        x = _coordinate(coords[0], f"line {lineno}, x")
+        y = _coordinate(coords[1], f"line {lineno}, y")
         pairs.append((x, y))
     if not pairs:
         raise ParseError("no vertices found in input")

@@ -38,9 +38,10 @@ own points repeat goes to the oracle, which stays necessary there: the
 doubly wound triangle a, b, c, a, b, c is convex, while the traced-back
 triangle a, b, c, b passes the edge test and leaves the side ca
 uncovered.  The sorted-triple sign rule of the strict DFS is not sound
-here: in the doubly wound triangle (a, c, b) has the other sign.  The
-oracle-only count, which certificates rest on, enumerates every
-k-subset.
+here: in the doubly wound triangle (a, c, b) has the other sign.
+Certificate verification runs the same DFS but sends every leaf that
+keeps its edges to the oracle, so it rests only on the necessary half of
+the edge rule; the oracle-only count enumerates every k-subset.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def _side_table(vs):
     return pos, neg
 
 
-def _convex_subsets(vs, k: int, budget):
+def _convex_subsets(vs, k: int, budget, oracle: bool = False):
     # The k-subsets whose sub-k-gon is convex, in lexicographic order, by
     # a DFS over index prefixes c_0 < ... < c_t.  A candidate must keep
     # every prefix edge, the new one (c_t, w) included, with all chosen
@@ -246,7 +247,10 @@ def _convex_subsets(vs, k: int, budget):
     # and of pos(a, b) when they miss pos(a, b), and a prefix edge with
     # no allowed side leaves no candidate.  So only a leaf tests its new
     # edge and its closing edge (w, c_0), and only a leaf that repeats a
-    # point needs the oracle (module docstring).
+    # point needs the oracle (module docstring); with oracle set, every
+    # leaf that passes its edges goes to the oracle.  A node is a prefix
+    # with room for the k - t - 1 vertices it lacks, a (t+1)-subset of
+    # range(n - k + t + 1), so the walk visits at most C(n+1, k) - 1.
     pos, neg = _side_table(vs)
 
     def one_side(a, b, m):
@@ -276,7 +280,7 @@ def _convex_subsets(vs, k: int, budget):
                 continue
             idx = (*chosen, v)
             pts = tuple(vs[i] for i in idx)
-            if len(set(pts)) == k or _oracle_fail(pts) is None:
+            if (not oracle and len(set(pts)) == k) or _oracle_fail(pts) is None:
                 yield idx
             continue
         cand = rest
@@ -316,19 +320,13 @@ def find_totally_monochromatic(coloring: TripleColoring, m: int):
 
 
 def _subset_total(n: int, k: int, budget) -> int:
-    # C(n, k), checked before an exhaustive count tests any subset.
+    # C(n, k), checked before an exhaustive count or a certificate walk
+    # tests any subset.
     _check_int("k", k, 1, n, "n")
     total = math.comb(n, k)
     if total > budget:
         raise CapabilityError(f"C({n},{k}) = {total} subsets exceed the budget {budget}")
     return total
-
-
-def _oracle_convex(vs, k: int):
-    # Yield, in lexicographic order, each k-subset the oracle's core calls convex.
-    for idx, sub in zip(itertools.combinations(range(len(vs)), k), itertools.combinations(vs, k)):
-        if _oracle_fail(sub) is None:
-            yield idx
 
 
 def count_convex_subgons(
@@ -346,13 +344,16 @@ def count_convex_subgons(
     over its sign table, any other the supporting-line DFS; both give
     exactly the oracle's answers (proof in the module docstring).  With
     oracle_only the definition-level test is applied to every
-    sub-polygon instead; certificate verification walks the same
-    generator of oracle-convex subsets, but stops at its first hit.
+    sub-polygon instead, the full enumeration that certificate
+    verification is checked against: verify_certificate runs the
+    supporting-line DFS, sends each leaf it keeps to the oracle and
+    stops at the first one the oracle calls convex.
     """
     _subset_total(len(P), k, budget)
     vs = P._xy
     if oracle_only:
-        hits = _oracle_convex(vs, k)
+        subsets = zip(itertools.combinations(range(len(vs)), k), itertools.combinations(vs, k))
+        hits = (idx for idx, sub in subsets if _oracle_fail(sub) is None)
     elif (signs := _polygon_signs(vs)) is not None:
         groups = _monochromatic(signs, k, math.inf)
         if not include_subsets:

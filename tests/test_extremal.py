@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import random
 import time
@@ -24,6 +25,16 @@ from eszk import (
 import eszk.extremal
 import eszk.subgons
 from eszk.extremal import _moves, _run_restart, _sample_strict, _SubgonCounter
+from eszk.subgons import _convex_subsets
+
+from conftest import degenerate_pool, det, parabola_polygon
+
+# No convex sub-5-gon among its 15,504 sub-5-gons; CI verifies it too.
+TWENTY_GON = Polygon([
+    (709, -915), (967, 990), (302, -122), (481, -529), (265, -13), (418, -405), (-906, -324),
+    (760, -949), (-3, -158), (211, -411), (-6, 189), (96, -38), (-423, 837), (529, 215),
+    (-482, -916), (-272, 585), (-574, -525), (513, 333), (674, -831), (-731, -326),
+])
 
 
 class TestBounds:
@@ -203,6 +214,49 @@ class TestVerifyCertificate:
             outcomes.add((case % 3, verified))
         assert len(outcomes) == 6  # each kind both verifies and fails
 
+    def test_verification_matches_the_oracle_count_on_the_degenerate_pool(self):
+        rng = random.Random(26)
+        pool = [SEVEN_GON_CERTIFICATE, *degenerate_pool(rng, 1500)]
+        outcomes = set()
+        for P in pool:
+            for k in (4, 5):
+                if k <= len(P):
+                    verified = verify_certificate(P, k).verified
+                    assert verified == (count_convex_subgons(P, k, oracle_only=True)[0] == 0), (P, k)
+                    outcomes.add(verified)
+        assert outcomes == {True, False}
+
+    def test_the_oracle_judges_exactly_the_leaves_that_keep_every_edge(self, monkeypatch):
+        # in lexicographic order up to the first convex one, the subsets
+        # with all their vertices weakly on one side of every edge, the
+        # closing edge included
+        def supported(sub):
+            return all(
+                len({det(a, b, c) > 0 for c in sub if det(a, b, c)}) <= 1
+                for a, b in zip(sub, sub[1:] + sub[:1])
+            )
+
+        calls = []
+        oracle = eszk.subgons._oracle_fail
+        monkeypatch.setattr(eszk.subgons, "_oracle_fail",
+                            lambda sub: calls.append(sub) or oracle(sub))
+        closing_only = Polygon([(1, 0), (3, 0), (2, 0), (0, 0), (0, 2)])  # only (0,2)-(1,0) fails
+        assert verify_certificate(closing_only, 5).verified
+        assert calls == []
+        rng = random.Random(27)
+        for P in degenerate_pool(rng, 300):
+            for k in (4, 5):
+                if k <= len(P):
+                    calls.clear()
+                    verify_certificate(P, k)
+                    expected = []
+                    for sub in itertools.combinations(P._xy, k):
+                        if supported(sub):
+                            expected.append(sub)
+                            if oracle(sub) is None:
+                                break
+                    assert calls == expected, (P, k)
+
     def test_verification_stops_at_the_first_convex_subset(self, monkeypatch):
         calls = []
         oracle = eszk.subgons._oracle_fail
@@ -212,7 +266,12 @@ class TestVerifyCertificate:
         assert not verify_certificate(parabola, 5).verified
         assert calls == [parabola.vertices[:5]]
         calls.clear()
+        # on a strict certificate no leaf survives its last and closing edges
         assert verify_certificate(SEVEN_GON_CERTIFICATE, 4).verified
+        assert verify_certificate(TWENTY_GON, 5).verified
+        assert calls == []
+        # the full enumeration still judges every subset
+        assert count_convex_subgons(SEVEN_GON_CERTIFICATE, 4, oracle_only=True) == (0, None)
         assert len(calls) == 35
         calls.clear()
         with pytest.raises(InputError, match="k = 11 exceeds n = 10"):
@@ -220,6 +279,34 @@ class TestVerifyCertificate:
         with pytest.raises(CapabilityError, match=r"C\(10,5\) = 252 subsets exceed the budget 251"):
             verify_certificate(parabola, 5, budget=251)
         assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["strict", "repeated", "small box"])
+def test_walk_visits_at_most_c_n_plus_1_k_minus_1_nodes(kind):
+    # a node is a prefix with room to complete, a (t+1)-subset of
+    # range(n - k + t + 1), and these sum to C(n+1, k) - 1
+    rng = random.Random(2026)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        if kind == "small box":
+            vs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+        else:
+            vs = _sample_strict(rng, n, 30)
+            if kind == "repeated" and n > 1:
+                a, b = rng.sample(range(n), 2)
+                vs[a] = vs[b]
+        for k in range(1, n + 1):
+            for oracle in (False, True):
+                list(_convex_subsets(vs, k, math.comb(n + 1, k) - 1, oracle))
+
+
+def test_walk_node_bound_is_met_when_nothing_is_pruned():
+    vs = parabola_polygon(9).vertices  # every sub-k-gon is convex
+    for k in range(1, 10):
+        bound = math.comb(10, k) - 1
+        assert len(list(_convex_subsets(vs, k, bound, oracle=True))) == math.comb(9, k)
+        with pytest.raises(CapabilityError):
+            list(_convex_subsets(vs, k, bound - 1, oracle=True))
 
 
 class TestSearchConfig:
